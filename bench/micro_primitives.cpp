@@ -8,12 +8,12 @@
 //   reduce     device_reduce (fp sum + exact max) vs the serial oracle
 //              and the plain std::accumulate loop, sweep over sizes
 //   scan       device_exclusive_scan vs oracle and std::exclusive_scan,
-//              plus the block-scan tree ablation: Blelloch (shipped) vs
-//              the Hillis-Steele baseline it replaced, compared by exact
-//              COMBINE COUNT (deterministic, host-independent)
+//              plus the block-scan tree ablation: Blelloch (shipped,
+//              combines counted) vs the Hillis-Steele shape it replaced
+//              (combines from the closed form), by exact COMBINE COUNT
+//              (deterministic, host-independent)
 //   sort       device_radix_sort_pairs vs the stable oracle, and the
-//              host radix path (the serve ordering substrate) vs the
-//              std::stable_sort permutation idiom it replaced
+//              host radix path vs the std::stable_sort permutation idiom
 //   histogram  device_histogram vs the serial counting oracle
 //   phi        Phi_M-style portability rows (Eq. 1): each primitive's
 //              simulated throughput on the two GPU models (A100,
@@ -29,6 +29,7 @@
 //                         [--require-scan-combines X] [--require-sort X]
 //                         [--out PATH]
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <iostream>
 #include <numeric>
@@ -82,6 +83,7 @@ std::vector<double> random_doubles(std::size_t n, std::uint64_t seed) {
 /// metric (combine count is exact and host-independent, unlike wall
 /// time under the simulator).
 struct CountingSum {
+  static constexpr bool kExact = true;
   long* combines;
   [[nodiscard]] long operator()(long a, long b) const {
     ++*combines;
@@ -139,7 +141,7 @@ int main(int argc, char** argv) {
   for (const std::size_t n : {opt.n / 16, opt.n / 4, opt.n}) {
     const std::vector<double> in = random_doubles(n, 11 + n);
     const std::span<const double> s(in);
-    const primitives::SumOp<double> sum;
+    const simrt::SumOp<double> sum;
     double got = 0, want = 0, plain = 0;
     const double device_ms =
         best_ms(opt.samples, [&] { got = primitives::device_reduce(ctx, s, sum); });
@@ -155,7 +157,7 @@ int main(int argc, char** argv) {
     }
     // Exact max must also equal the plain scalar fold, not just the oracle.
     const double dmax =
-        primitives::device_reduce(ctx, s, primitives::MaxOp<double>{});
+        primitives::device_reduce(ctx, s, simrt::MaxOp<double>{});
     const double smax = *std::max_element(in.begin(), in.end());
     if (std::memcmp(&dmax, &smax, sizeof(double)) != 0) {
       std::cerr << "FAILED: device_reduce(max, n=" << n << ") differs from std::max_element\n";
@@ -185,7 +187,7 @@ int main(int argc, char** argv) {
   for (const std::size_t n : {opt.n / 16, opt.n / 4, opt.n}) {
     const std::vector<double> in = random_doubles(n, 23 + n);
     std::vector<double> dev(n), ora(n), std_out(n);
-    const primitives::SumOp<double> sum;
+    const simrt::SumOp<double> sum;
     const double device_ms = best_ms(opt.samples, [&] {
       primitives::device_exclusive_scan(ctx, std::span<const double>(in),
                                         std::span<double>(dev), sum);
@@ -216,30 +218,22 @@ int main(int argc, char** argv) {
             << scan_table.to_markdown() << "\n";
 
   // Tree ablation: the Blelloch block scan we ship vs the Hillis-Steele
-  // baseline it replaced, by exact combine count at one 256-lane block.
+  // shape it replaced, by exact combine count at one 256-lane block.
+  // Hillis-Steele's log2(n) levels combine n - stride lanes each:
+  // n * log2(n) - (n - 1) in total.
+  constexpr std::size_t kLanes = 256;
   long blelloch_combines = 0;
-  long hillis_combines = 0;
-  {
-    constexpr std::size_t kLanes = 256;
-    gpusim::launch_blocks(ctx, {1, 1, 1}, {kLanes, 1, 1}, 2 * kLanes * sizeof(long),
-                          [&](gpusim::BlockCtx& bc) {
-                            auto scratch = bc.shared<long>(2 * kLanes);
-                            gpusim::block_exclusive_scan(
-                                bc, scratch, CountingSum{&blelloch_combines},
-                                [](const gpusim::ThreadCtx& tc) {
-                                  return static_cast<long>(tc.lane_in_block());
-                                });
-                          });
-    gpusim::launch_blocks(ctx, {1, 1, 1}, {kLanes, 1, 1}, 2 * kLanes * sizeof(long),
-                          [&](gpusim::BlockCtx& bc) {
-                            auto scratch = bc.shared<long>(2 * kLanes);
-                            gpusim::block_exclusive_scan_hillis(
-                                bc, scratch, CountingSum{&hillis_combines},
-                                [](const gpusim::ThreadCtx& tc) {
-                                  return static_cast<long>(tc.lane_in_block());
-                                });
-                          });
-  }
+  gpusim::launch_blocks(ctx, {1, 1, 1}, {kLanes, 1, 1}, 2 * kLanes * sizeof(long),
+                        [&](gpusim::BlockCtx& bc) {
+                          auto scratch = bc.shared<long>(2 * kLanes);
+                          gpusim::block_exclusive_scan(
+                              bc, scratch, CountingSum{&blelloch_combines},
+                              [](const gpusim::ThreadCtx& tc) {
+                                return static_cast<long>(tc.lane_in_block());
+                              });
+                        });
+  constexpr long hillis_combines =
+      static_cast<long>(kLanes * std::countr_zero(kLanes) - (kLanes - 1));
   const double scan_combine_ratio =
       static_cast<double>(hillis_combines) / static_cast<double>(blelloch_combines);
   std::cout << "-- block-scan tree, 256 lanes: Blelloch " << blelloch_combines
@@ -271,8 +265,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Host radix (the serve ordering substrate) vs the std::stable_sort
-  // permutation idiom it replaced.
+  // Host radix vs the std::stable_sort permutation idiom.
   primitives::HostRadixScratch<std::uint64_t, std::uint32_t> scratch;
   std::vector<std::uint64_t> hk;
   std::vector<std::uint32_t> hv;
@@ -310,8 +303,8 @@ int main(int argc, char** argv) {
   sort_table.add_row({std::to_string(ns), Table::num(radix_ms, 3),
                       Table::num(stable_ms, 3), Table::num(sort_speedup, 2),
                       sort_bitwise ? "yes" : "NO"});
-  std::cout << "-- (key, value) sort, 32-bit-dense uint64 keys (host radix is the\n"
-               "   serve batch-ordering substrate; both sides are stable) --\n"
+  std::cout << "-- (key, value) sort, 32-bit-dense uint64 keys (both sides are\n"
+               "   stable) --\n"
             << sort_table.to_markdown() << "\n";
 
   // --- histogram ------------------------------------------------------------
@@ -370,14 +363,14 @@ int main(int argc, char** argv) {
       if (std::strcmp(which, "reduce") == 0) {
         ms = best_ms(opt.samples, [&] {
           (void)primitives::device_reduce(c, std::span<const double>(in),
-                                          primitives::SumOp<double>{});
+                                          simrt::SumOp<double>{});
         });
       } else if (std::strcmp(which, "scan") == 0) {
         std::vector<double> out(np);
         ms = best_ms(opt.samples, [&] {
           primitives::device_exclusive_scan(c, std::span<const double>(in),
                                             std::span<double>(out),
-                                            primitives::SumOp<double>{});
+                                            simrt::SumOp<double>{});
         });
       } else if (std::strcmp(which, "sort") == 0) {
         std::vector<std::uint32_t> k = hkeys;
@@ -456,7 +449,7 @@ int main(int argc, char** argv) {
   w.key("scan_tree");
   w.begin_object();
   w.key("lanes");
-  w.value(std::size_t{256});
+  w.value(kLanes);
   w.key("blelloch_combines");
   w.value(blelloch_combines);
   w.key("hillis_combines");

@@ -282,16 +282,16 @@ bool scan_bitwise(const tune::Config& cfg) {
 
   std::vector<double> ref(n);
   primitives::exclusive_scan_oracle(std::span<const double>(in), std::span<double>(ref),
-                                    primitives::SumOp<double>{});
+                                    simrt::SumOp<double>{});
 
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
   std::vector<double> out_def(n), out_tuned(n);
   primitives::device_exclusive_scan(ctx, std::span<const double>(in),
                                     std::span<double>(out_def),
-                                    primitives::SumOp<double>{});
+                                    simrt::SumOp<double>{});
   primitives::device_exclusive_scan(ctx, std::span<const double>(in),
                                     std::span<double>(out_tuned),
-                                    primitives::SumOp<double>{}, tuned);
+                                    simrt::SumOp<double>{}, tuned);
   return std::memcmp(out_def.data(), ref.data(), n * sizeof(double)) == 0 &&
          std::memcmp(out_tuned.data(), ref.data(), n * sizeof(double)) == 0;
 }
@@ -377,9 +377,10 @@ int run(const Options& opt) {
   if (!opt.cache.empty()) {
     const tune::CacheLoadResult lr = cache.load(opt.cache);
     if (lr.status != tune::CacheLoadStatus::kOk) {
-      std::fprintf(stderr, "tuned_vs_default: %s (tuning in-process)\n",
-                   lr.warning.empty() ? tune::cache_status_name(lr.status)
-                                      : lr.warning.c_str());
+      const std::string why = lr.warning.empty()
+                                  ? std::string(tune::cache_status_name(lr.status))
+                                  : lr.warning;
+      std::fprintf(stderr, "tuned_vs_default: %s (tuning in-process)\n", why.c_str());
     }
   }
 

@@ -6,40 +6,24 @@
 // same algorithms are expressed as successive for_lanes() regions over a
 // shared-memory scratch array.
 //
-// Op contract (the identity-carrying reduction-op shape, see
-// src/primitives/op.hpp for the concept and the stock operators):
-//   T operator()(T, T) const   — the combiner; the LEFT operand is always
-//                                the earlier lane, so non-commutative ops
-//                                and tie-breaking resolve left-to-right
-//   T identity() const         — op(identity, x) == x
-// The combination TREE is a pure function of (lanes, op) — never of the
-// sanitizer's permuted lane order — so for exact ops (integers, min/max,
-// bit ops) the result is bitwise-identical to a plain left fold, and for
-// floating-point ops it is bitwise-reproducible run-to-run.
+// Ops are simrt::ReductionOpFor<Op, T> (src/simrt/op.hpp): the LEFT
+// operand of every combine is the earlier lane, so non-commutative ops
+// and tie-breaking resolve left-to-right.  The combination TREE is a pure
+// function of (lanes, op) — never of the sanitizer's permuted lane order
+// — so for exact ops (integers, min/max, bit ops) the result is
+// bitwise-identical to a plain left fold, and for floating-point ops it
+// is bitwise-reproducible run-to-run.
 #pragma once
 
 #include <bit>
 #include <span>
-#include <type_traits>
 #include <utility>
 
 #include "launch.hpp"
+#include "simrt/op.hpp"
 #include "warp.hpp"
 
 namespace portabench::gpusim {
-
-namespace detail {
-
-/// Minimal sum op backing the historical *_sum entry points (the rich
-/// operator set lives one layer up in src/primitives/op.hpp; gpusim only
-/// needs "plus with a zero identity" for its own aliases).
-template <class T>
-struct PlusOp {
-  [[nodiscard]] T operator()(const T& a, const T& b) const { return a + b; }
-  [[nodiscard]] T identity() const { return T{}; }
-};
-
-}  // namespace detail
 
 /// Reduce one value per lane across the block with an arbitrary op:
 /// hierarchical warp-shuffle trees (warp_reduce_leaders) followed by a
@@ -50,6 +34,7 @@ struct PlusOp {
 /// For exact ops the value equals the plain left fold of the lanes; for
 /// floating-point sums it is the fixed (lanes, op)-determined tree.
 template <class T, class Op, class F>
+  requires simrt::ReductionOpFor<Op, T>
 T block_reduce(BlockCtx& bc, std::span<T> scratch, Op op, F&& value_of) {
   const std::size_t lanes = bc.block_dim().volume();
   PB_EXPECTS(scratch.size() >= lanes);
@@ -66,13 +51,6 @@ T block_reduce(BlockCtx& bc, std::span<T> scratch, Op op, F&& value_of) {
   return scratch[0];
 }
 
-/// Sum-reduce alias (the historical entry point; migrated callers keep
-/// compiling unchanged).
-template <class T, class F>
-T block_reduce_sum(BlockCtx& bc, std::span<T> scratch, F&& value_of) {
-  return block_reduce(bc, scratch, detail::PlusOp<T>{}, std::forward<F>(value_of));
-}
-
 /// Work-efficient exclusive scan of one value per lane (Blelloch
 /// upsweep/downsweep over shared memory; O(n) combines versus the
 /// O(n log n) of the Hillis-Steele shape it replaces).  `scratch` must
@@ -83,6 +61,7 @@ T block_reduce_sum(BlockCtx& bc, std::span<T> scratch, F&& value_of) {
 /// the left-subtree total, preserving lane order.  Correct for blocks of
 /// any dimensionality (lanes are linearized in the CUDA order).
 template <class T, class Op, class F>
+  requires simrt::ReductionOpFor<Op, T>
 void block_exclusive_scan(BlockCtx& bc, std::span<T> scratch, Op op, F&& value_of) {
   const std::size_t lanes = bc.block_dim().volume();
   PB_EXPECTS(scratch.size() >= 2 * lanes);
@@ -126,58 +105,15 @@ void block_exclusive_scan(BlockCtx& bc, std::span<T> scratch, Op op, F&& value_o
   }
 }
 
-/// Sum-scan alias (the historical 3-argument entry point).
-template <class T, class F>
-void block_exclusive_scan(BlockCtx& bc, std::span<T> scratch, F&& value_of) {
-  block_exclusive_scan(bc, scratch, detail::PlusOp<T>{}, std::forward<F>(value_of));
-}
-
 /// Inclusive scan: exclusive prefix combined (on the right) with the
 /// lane's own value.
 template <class T, class Op, class F>
+  requires simrt::ReductionOpFor<Op, T>
 void block_inclusive_scan(BlockCtx& bc, std::span<T> scratch, Op op, F&& value_of) {
   block_exclusive_scan(bc, scratch, op, value_of);
   bc.for_lanes([&](const ThreadCtx& tc) {
     const std::size_t lane = tc.lane_in_block();
     scratch[lane] = op(scratch[lane], value_of(tc));
-  });
-}
-
-/// The pre-Blelloch Hillis-Steele exclusive scan, kept as the measured
-/// baseline for bench/micro_primitives (O(n log n) combines, log n
-/// barrier regions of full-block width).  Same scratch and result
-/// contract as block_exclusive_scan.  For exact ops the two produce
-/// identical bits; do not mix them inside one floating-point reduction
-/// pipeline — the trees differ.
-template <class T, class Op, class F>
-void block_exclusive_scan_hillis(BlockCtx& bc, std::span<T> scratch, Op op,
-                                 F&& value_of) {
-  const std::size_t lanes = bc.block_dim().volume();
-  PB_EXPECTS(scratch.size() >= 2 * lanes);
-  std::span<T> ping = scratch.subspan(0, lanes);
-  std::span<T> pong = scratch.subspan(lanes, lanes);
-
-  bc.for_lanes([&](const ThreadCtx& tc) { ping[tc.lane_in_block()] = value_of(tc); });
-
-  // Inclusive Hillis-Steele; the earlier lane's prefix stays on the left.
-  for (std::size_t stride = 1; stride < lanes; stride *= 2) {
-    bc.for_lanes([&](const ThreadCtx& tc) {
-      const std::size_t lane = tc.lane_in_block();
-      pong[lane] = lane >= stride ? op(ping[lane - stride], ping[lane]) : ping[lane];
-    });
-    std::swap(ping, pong);
-  }
-
-  // Shift right into the scratch's first half (exclusive form).  `ping`
-  // holds the inclusive scan; stage through `pong` when ping aliases the
-  // output region so no lane reads a slot another lane already wrote.
-  bc.for_lanes([&](const ThreadCtx& tc) {
-    const std::size_t lane = tc.lane_in_block();
-    pong[lane] = lane == 0 ? op.identity() : ping[lane - 1];
-  });
-  bc.for_lanes([&](const ThreadCtx& tc) {
-    const std::size_t lane = tc.lane_in_block();
-    scratch[lane] = pong[lane];
   });
 }
 

@@ -25,10 +25,9 @@
 
 #include "simrt/affinity.hpp"
 #include "simrt/mdarray.hpp"
+#include "simrt/op.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/policy.hpp"
-#include "simrt/reducers.hpp"
-#include "simrt/scan.hpp"
 #include "simrt/thread_pool.hpp"
 #include "simrt/view3.hpp"
 

@@ -25,7 +25,7 @@
 
 #include "gpusim/block_primitives.hpp"
 #include "gpusim/launch.hpp"
-#include "op.hpp"
+#include "simrt/op.hpp"
 #include "simrt/simd_reduce.hpp"
 #include "tunables.hpp"
 
@@ -51,9 +51,9 @@ template <class T, class Op>
 [[nodiscard]] T segment_fold(std::span<const T> in, std::size_t lo, std::size_t hi,
                              Op op) {
   if (lo >= hi) return op.identity();
-  if constexpr (std::is_same_v<Op, SumOp<T>> && std::is_floating_point_v<T>) {
+  if constexpr (std::is_same_v<Op, simrt::SumOp<T>> && std::is_floating_point_v<T>) {
     return simrt::simd_sum(in.data() + lo, hi - lo);
-  } else if constexpr (std::is_same_v<Op, MaxOp<T>> && std::is_floating_point_v<T>) {
+  } else if constexpr (std::is_same_v<Op, simrt::MaxOp<T>> && std::is_floating_point_v<T>) {
     return simrt::simd_max(in.data() + lo, hi - lo);
   } else {
     T acc = op.identity();
@@ -122,7 +122,7 @@ void for_segments(gpusim::DeviceContext& ctx, std::size_t n, std::size_t segment
 
 /// Reduce `in` with `op`.  Returns op.identity() for an empty input.
 template <class T, class Op>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 [[nodiscard]] T device_reduce(gpusim::DeviceContext& ctx, std::span<const T> in, Op op,
                               const ReduceConfig& cfg = {}) {
   const std::size_t n = in.size();
@@ -147,7 +147,7 @@ template <class T, class Op>
 /// Reduce f(0), ..., f(n-1) with `op` without materializing the values.
 /// Same segment association as device_reduce.
 template <class T, class Op, class F>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 [[nodiscard]] T device_transform_reduce(gpusim::DeviceContext& ctx, std::size_t n, Op op,
                                         F&& f, const ReduceConfig& cfg = {}) {
   if (n == 0) return op.identity();
@@ -168,31 +168,6 @@ template <class T, class Op, class F>
   } else {
     return detail::fold_ascending(std::span<const T>(partials), op);
   }
-}
-
-/// max |a[i] - b[i]| — the stencil residual shape.  Segment partials run
-/// through simrt::simd_max_abs_diff (the same pinned-width kernel the
-/// host residual path uses); max is exact, so the hierarchical combine is
-/// value-identical to the host fold.
-template <class T>
-  requires std::is_floating_point_v<T>
-[[nodiscard]] T device_max_abs_diff(gpusim::DeviceContext& ctx, std::span<const T> a,
-                                    std::span<const T> b, const ReduceConfig& cfg = {}) {
-  PB_EXPECTS(a.size() == b.size());
-  const std::size_t n = a.size();
-  const MaxOp<T> op;
-  if (n == 0) return op.identity();
-  const std::size_t lanes = std::max<std::size_t>(1, cfg.lanes);
-  const std::size_t grain = std::max<std::size_t>(1, cfg.items_per_lane);
-  const std::size_t segments = detail::ceil_div(n, kSegment);
-
-  std::vector<T> partials(segments);
-  detail::for_segments(ctx, n, segments, lanes, grain,
-                       [&](std::size_t seg, std::size_t lo, std::size_t hi) {
-                         partials[seg] =
-                             simrt::simd_max_abs_diff(a.data() + lo, b.data() + lo, hi - lo);
-                       });
-  return detail::combine_exact(ctx, std::span<const T>(partials), op, lanes);
 }
 
 }  // namespace portabench::primitives

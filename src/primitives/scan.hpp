@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "gpusim/launch.hpp"
-#include "op.hpp"
+#include "simrt/op.hpp"
 #include "reduce.hpp"
 #include "tunables.hpp"
 
@@ -118,7 +118,7 @@ void device_scan(gpusim::DeviceContext& ctx, std::span<const T> in, std::span<T>
 /// out[i] = op-fold of in[0..i).  out[0] is the identity.  In-place
 /// (out == in) is supported.
 template <class T, class Op>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 void device_exclusive_scan(gpusim::DeviceContext& ctx, std::span<const T> in,
                            std::span<T> out, Op op, const ScanConfig& cfg = {}) {
   detail::device_scan<false>(ctx, in, out, op, cfg);
@@ -126,7 +126,7 @@ void device_exclusive_scan(gpusim::DeviceContext& ctx, std::span<const T> in,
 
 /// out[i] = op-fold of in[0..i].  In-place is supported.
 template <class T, class Op>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 void device_inclusive_scan(gpusim::DeviceContext& ctx, std::span<const T> in,
                            std::span<T> out, Op op, const ScanConfig& cfg = {}) {
   detail::device_scan<true>(ctx, in, out, op, cfg);

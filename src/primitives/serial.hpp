@@ -15,7 +15,7 @@
 #include <span>
 #include <vector>
 
-#include "op.hpp"
+#include "simrt/op.hpp"
 #include "reduce.hpp"
 #include "scan.hpp"
 #include "sort.hpp"
@@ -25,7 +25,7 @@ namespace portabench::primitives {
 
 /// What device_reduce computes, serially.
 template <class T, class Op>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 [[nodiscard]] T reduce_oracle(std::span<const T> in, Op op) {
   const std::size_t n = in.size();
   if (n == 0) return op.identity();
@@ -40,7 +40,7 @@ template <class T, class Op>
 
 /// What device_transform_reduce computes, serially.
 template <class T, class Op, class F>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 [[nodiscard]] T transform_reduce_oracle(std::size_t n, Op op, F&& f) {
   if (n == 0) return op.identity();
   const std::size_t segments = detail::ceil_div(n, kSegment);
@@ -51,23 +51,6 @@ template <class T, class Op, class F>
     T acc = op.identity();
     for (std::size_t i = lo; i < hi; ++i) acc = op(acc, f(i));
     partials[seg] = acc;
-  }
-  return detail::fold_ascending(std::span<const T>(partials), op);
-}
-
-/// What device_max_abs_diff computes, serially.
-template <class T>
-[[nodiscard]] T max_abs_diff_oracle(std::span<const T> a, std::span<const T> b) {
-  PB_EXPECTS(a.size() == b.size());
-  const std::size_t n = a.size();
-  const MaxOp<T> op;
-  if (n == 0) return op.identity();
-  const std::size_t segments = detail::ceil_div(n, kSegment);
-  std::vector<T> partials(segments);
-  for (std::size_t seg = 0; seg < segments; ++seg) {
-    const std::size_t lo = seg * kSegment;
-    const std::size_t hi = std::min(n, lo + kSegment);
-    partials[seg] = simrt::simd_max_abs_diff(a.data() + lo, b.data() + lo, hi - lo);
   }
   return detail::fold_ascending(std::span<const T>(partials), op);
 }
@@ -116,14 +99,14 @@ void scan_oracle(std::span<const T> in, std::span<T> out, Op op) {
 /// What device_exclusive_scan computes, serially.  For exact ops this
 /// equals the plain sequential exclusive scan.
 template <class T, class Op>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 void exclusive_scan_oracle(std::span<const T> in, std::span<T> out, Op op) {
   detail::scan_oracle<false>(in, out, op);
 }
 
 /// What device_inclusive_scan computes, serially.
 template <class T, class Op>
-  requires ReductionOpFor<Op, T>
+  requires simrt::ReductionOpFor<Op, T>
 void inclusive_scan_oracle(std::span<const T> in, std::span<T> out, Op op) {
   detail::scan_oracle<true>(in, out, op);
 }

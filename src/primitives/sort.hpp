@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "gpusim/launch.hpp"
-#include "op.hpp"
+#include "simrt/op.hpp"
 #include "scan.hpp"
 #include "tunables.hpp"
 
@@ -186,7 +186,7 @@ void radix_pass(gpusim::DeviceContext& ctx, std::span<const B> src, std::span<B>
   // scan: global ranks from the digit-major exclusive scan — built on the
   // device-wide scan itself (integer sum: exact).
   device_exclusive_scan(ctx, std::span<const std::size_t>(counts), offsets,
-                        SumOp<std::size_t>{});
+                        simrt::SumOp<std::size_t>{});
 
   // scatter: recount, turn the rows into per-(lane, digit) starts, then
   // scatter each lane's contiguous slice in element order (stability).

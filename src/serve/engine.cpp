@@ -11,7 +11,6 @@
 #include "gemm/kernels_cpu.hpp"
 #include "gemm/kernels_tiled.hpp"
 #include "gpusim/batch.hpp"
-#include "primitives/sort.hpp"
 #include "serial.hpp"
 #include "simrt/mdarray.hpp"
 #include "spmv/kernels.hpp"
@@ -245,16 +244,6 @@ struct ServeEngine::Shard::Staging {
   std::vector<spmv::SpmvBatchItem<float>> spmv_f32;
   std::vector<stencil::StencilBatchItem> sten;
 
-  // Radix flush-ordering scratch (sort_radix path): permutation keys and
-  // ping-pong buffers, grown once to the batch size and reused so the
-  // steady state stays allocation-free like the rest of the staging.
-  std::vector<std::uint64_t> order_ids;
-  std::vector<std::uint32_t> order_buckets;
-  std::vector<std::uint32_t> order_perm;
-  std::vector<JobSlot> order_slots;
-  primitives::HostRadixScratch<std::uint64_t, std::uint32_t> order_scratch64;
-  primitives::HostRadixScratch<std::uint32_t, std::uint32_t> order_scratch32;
-
   explicit Staging(std::size_t batch_jobs) {
     gemm_f64.reserve(batch_jobs);
     gemm_f32.reserve(batch_jobs);
@@ -262,10 +251,6 @@ struct ServeEngine::Shard::Staging {
     spmv_f64.reserve(batch_jobs);
     spmv_f32.reserve(batch_jobs);
     sten.reserve(batch_jobs);
-    order_ids.reserve(batch_jobs);
-    order_buckets.reserve(batch_jobs);
-    order_perm.reserve(batch_jobs);
-    order_slots.reserve(batch_jobs);
   }
 };
 
@@ -322,7 +307,6 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
   if (config_.batch_jobs == 0) {
     config_.batch_jobs = tune::Tuned::instance().serve_batch_jobs(kDefaultBatchJobs);
   }
-  sort_radix_ = tune::Tuned::instance().serve_sort_radix(false);
   PB_EXPECTS(config_.shards > 0);
   PB_EXPECTS(config_.queue_capacity > 0);
   PB_EXPECTS(config_.batch_jobs > 0);
@@ -416,15 +400,11 @@ ServeEngine::FlushOutcome ServeEngine::flush_shard(Shard& shard, std::size_t max
   // class), ids within a bucket.  Everything downstream — arena layout,
   // launches, delivery — follows this order, so a replayed trace gives a
   // byte-identical run.
-  if (sort_radix_) {
-    order_slots_radix(shard);
-  } else {
-    std::sort(slots.begin(), slots.end(), [](const JobSlot& a, const JobSlot& b) {
-      const std::uint32_t ka = bucket_key(a.desc);
-      const std::uint32_t kb = bucket_key(b.desc);
-      return ka != kb ? ka < kb : a.desc.id < b.desc.id;
-    });
-  }
+  std::sort(slots.begin(), slots.end(), [](const JobSlot& a, const JobSlot& b) {
+    const std::uint32_t ka = bucket_key(a.desc);
+    const std::uint32_t kb = bucket_key(b.desc);
+    return ka != kb ? ka < kb : a.desc.id < b.desc.id;
+  });
 
   std::size_t total = 0;
   for (const JobSlot& slot : slots) total += job_bytes(slot.desc);
@@ -474,39 +454,6 @@ ServeEngine::FlushOutcome ServeEngine::flush_shard(Shard& shard, std::size_t max
   deliver(shard);
   batches_.fetch_add(1, std::memory_order_relaxed);
   return out;
-}
-
-/// Radix flush ordering: the same (bucket, id) order std::sort produces,
-/// via two stable LSD passes over an index permutation — first by id,
-/// then by bucket key; stability composes the keys lexicographically.
-/// Runs O(n) passes instead of O(n log n) comparisons and permutes the
-/// fat JobSlots exactly once at the end.
-void ServeEngine::order_slots_radix(Shard& shard) {
-  Shard::Staging& st = *shard.staging;
-  std::vector<JobSlot>& slots = shard.slots;
-  const std::size_t n = slots.size();
-  if (n <= 1) return;
-
-  st.order_ids.resize(n);
-  st.order_buckets.resize(n);
-  st.order_perm.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.order_ids[i] = slots[i].desc.id;
-    st.order_perm[i] = static_cast<std::uint32_t>(i);
-  }
-  primitives::host_radix_sort_pairs(std::span<std::uint64_t>(st.order_ids),
-                                    std::span<std::uint32_t>(st.order_perm),
-                                    st.order_scratch64);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.order_buckets[i] = bucket_key(slots[st.order_perm[i]].desc);
-  }
-  primitives::host_radix_sort_pairs(std::span<std::uint32_t>(st.order_buckets),
-                                    std::span<std::uint32_t>(st.order_perm),
-                                    st.order_scratch32);
-
-  st.order_slots.resize(n);
-  for (std::size_t i = 0; i < n; ++i) st.order_slots[i] = slots[st.order_perm[i]];
-  slots.swap(st.order_slots);
 }
 
 void ServeEngine::run_bucket(Shard& shard, std::size_t lo, std::size_t hi) {
@@ -607,16 +554,19 @@ void ServeEngine::deliver(Shard& shard) {
 }
 
 void ServeEngine::drain() {
+  // Wait out every shard's scheduled flushes before the first drain
+  // flush, so the drain phase (and what its thieves steal) starts from
+  // one queue state; a stashed batch_error was counted at its throw
+  // site, so absorbing it here is not a lost error.
   for (auto& sp : shards_) {
-    Shard& shard = *sp;
-    // Wait out scheduled flushes; a stashed batch_error was counted at
-    // its throw site, so absorbing it here is not a lost error.
     try {
-      shard.stream.synchronize();
+      sp->stream.synchronize();
     } catch (const batch_error&) {
     }
+  }
+  for (auto& sp : shards_) {
     for (;;) {
-      const FlushOutcome out = flush_shard(shard, config_.batch_jobs);
+      const FlushOutcome out = flush_shard(*sp, config_.batch_jobs);
       if (out.injected != 0) batch_errors_.fetch_add(1, std::memory_order_relaxed);
       if (out.popped == 0) break;
     }

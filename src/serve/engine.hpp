@@ -186,16 +186,10 @@ class ServeEngine {
 
   void schedule_flush(Shard& shard);
   FlushOutcome flush_shard(Shard& shard, std::size_t max_jobs);
-  void order_slots_radix(Shard& shard);
   void run_bucket(Shard& shard, std::size_t lo, std::size_t hi);
   void deliver(Shard& shard);
 
   ServeConfig config_;
-  /// Flush-batch ordering kernel ("serve-batch" space, sort_radix knob):
-  /// false = std::sort by (bucket, id), true = two stable LSD radix
-  /// passes over the same keys.  Both produce the identical order, so
-  /// the knob is pure schedule — tests pin the equivalence.
-  bool sort_radix_ = false;
   std::unique_ptr<gpusim::DeviceTopology> topo_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> accepting_{true};

@@ -1,6 +1,8 @@
-// The identity-carrying reduction-op vocabulary for the device-wide
-// primitives (the arbitrary-type/arbitrary-operator surface of Pilliat's
-// portable-primitives question, PAPERS.md).
+// The identity-carrying reduction-op vocabulary (Kokkos::Sum/Max/...
+// analogue): the one op concept taken by simrt::parallel_reduce, the
+// gpusim block primitives, and the src/primitives device calls — the
+// arbitrary-type/arbitrary-operator surface of Pilliat's
+// portable-primitives question (PAPERS.md).
 //
 // An op is a small value type with
 //   T operator()(T, T) const   — combiner; callers always put the
@@ -23,10 +25,12 @@
 
 #include <cmath>
 #include <concepts>
+#include <cstdint>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
-namespace portabench::primitives {
+namespace portabench::simrt {
 
 template <class Op, class T>
 concept ReductionOpFor = requires(const Op op, const T a, const T b) {
@@ -35,6 +39,15 @@ concept ReductionOpFor = requires(const Op op, const T a, const T b) {
   requires std::same_as<std::remove_cv_t<decltype(Op::kExact)>, const bool> ||
                std::same_as<std::remove_cv_t<decltype(Op::kExact)>, bool>;
 };
+
+/// The element type an op folds: what its identity() returns.
+template <class Op>
+using op_value_t = std::remove_cvref_t<decltype(std::declval<const Op&>().identity())>;
+
+/// An op over its own element type — what parallel_reduce's op form
+/// takes (and what keeps a plain functor out of that overload).
+template <class Op>
+concept ReductionOp = ReductionOpFor<Op, op_value_t<Op>>;
 
 namespace detail {
 
@@ -56,19 +69,40 @@ template <class T>
   }
 }
 
+/// Integer + and * mod 2^w: the operands go through uint64, so a signed
+/// (or promoted narrow unsigned) overflow wraps instead of being
+/// undefined — the wrap is what makes integer sums and products exact.
+template <class T>
+[[nodiscard]] constexpr T add(const T& a, const T& b) noexcept {
+  if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b));
+  } else {
+    return a + b;
+  }
+}
+
+template <class T>
+[[nodiscard]] constexpr T mul(const T& a, const T& b) noexcept {
+  if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b));
+  } else {
+    return a * b;
+  }
+}
+
 }  // namespace detail
 
 template <class T>
 struct SumOp {
   static constexpr bool kExact = std::is_integral_v<T>;
-  [[nodiscard]] T operator()(const T& a, const T& b) const { return a + b; }
+  [[nodiscard]] T operator()(const T& a, const T& b) const { return detail::add(a, b); }
   [[nodiscard]] T identity() const { return T{}; }
 };
 
 template <class T>
 struct ProdOp {
   static constexpr bool kExact = std::is_integral_v<T>;
-  [[nodiscard]] T operator()(const T& a, const T& b) const { return a * b; }
+  [[nodiscard]] T operator()(const T& a, const T& b) const { return detail::mul(a, b); }
   [[nodiscard]] T identity() const { return T{1}; }
 };
 
@@ -156,9 +190,9 @@ template <class T>
 struct AffineComposeOp {
   static constexpr bool kExact = std::is_integral_v<T>;
   [[nodiscard]] Affine<T> operator()(const Affine<T>& a, const Affine<T>& b) const {
-    return {static_cast<T>(a.mul * b.mul), static_cast<T>(a.add * b.mul + b.add)};
+    return {detail::mul(a.mul, b.mul), detail::add(detail::mul(a.add, b.mul), b.add)};
   }
   [[nodiscard]] Affine<T> identity() const { return {}; }
 };
 
-}  // namespace portabench::primitives
+}  // namespace portabench::simrt

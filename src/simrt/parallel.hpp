@@ -11,8 +11,10 @@
 #include <cstddef>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "op.hpp"
 #include "policy.hpp"
 #include "portacheck/hooks.hpp"
 #include "thread_pool.hpp"
@@ -418,42 +420,39 @@ void parallel_for(const ThreadsSpace& space, const TeamPolicy& policy, F&& f) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_reduce — sum reductions over RangePolicy
+// parallel_reduce — RangePolicy, under any op from op.hpp
 // ---------------------------------------------------------------------------
 
-namespace detail {
-/// True for reducer types (Sum/Min/Max/... in reducers.hpp); used to keep
-/// the plain sum-reduce overloads from capturing reducer arguments.
-template <class F>
-concept NotReducer = !requires { typename std::remove_cvref_t<F>::value_type; };
-}  // namespace detail
-
-/// Serial sum-reduce: f(i, acc) accumulates into acc.
-template <detail::NotReducer F, class T>
-void parallel_reduce(const SerialSpace&, const RangePolicy& policy, F&& f, T& result) {
+/// Serial reduce: acc starts at op.identity() and f(i, acc) folds element
+/// i into it, in index order.
+template <ReductionOp Op, class F>
+[[nodiscard]] op_value_t<Op> parallel_reduce(const SerialSpace&, const RangePolicy& policy,
+                                             Op op, F&& f) {
+  op_value_t<Op> acc = op.identity();
   if (portacheck::active()) {
     // No permutation: a serial reduction's accumulation order is part of its
     // contract (fp determinism), but each iteration still gets a lane so
     // side-channel writes from inside reduce bodies are race-checked.
     portacheck::begin_region();
-    T acc{};
     for (std::size_t i = policy.begin; i < policy.end; ++i) {
       portacheck::LaneScope lane(i - policy.begin);
       f(i, acc);
     }
-    result = acc;
-    return;
+    return acc;
   }
-  T acc{};
   for (std::size_t i = policy.begin; i < policy.end; ++i) f(i, acc);
-  result = acc;
+  return acc;
 }
 
-/// Threaded sum-reduce: per-thread partials joined in thread order, so the
-/// result is deterministic for a fixed thread count (as with OpenMP
-/// reductions under static scheduling).
-template <detail::NotReducer F, class T>
-void parallel_reduce(const ThreadsSpace& space, const RangePolicy& policy, F&& f, T& result) {
+/// Threaded reduce: each thread folds its static block into an
+/// identity-seeded partial, and the partials join left to right in block
+/// order with op — deterministic for a fixed thread count (as with OpenMP
+/// reductions under static scheduling), and correct for non-commutative
+/// ops.
+template <ReductionOp Op, class F>
+[[nodiscard]] op_value_t<Op> parallel_reduce(const ThreadsSpace& space,
+                                             const RangePolicy& policy, Op op, F&& f) {
+  using T = op_value_t<Op>;
   const std::size_t extent = policy.extent();
   ThreadPool& pool = space.pool();
   const std::size_t nt = pool.size();
@@ -461,18 +460,18 @@ void parallel_reduce(const ThreadsSpace& space, const RangePolicy& policy, F&& f
   // line, so the end-of-block stores never contend.  The join still walks
   // the slots in thread order — results stay bitwise-identical to the
   // unpadded layout.
-  std::vector<detail::PaddedSlot<T>> partial(nt);
+  std::vector<detail::PaddedSlot<T>> partial(nt, detail::PaddedSlot<T>{op.identity()});
   if (extent != 0) {
     if (portacheck::active()) {
       // Permute which pool thread owns which static block, but keep each
       // block's iteration order and the block-ordered join: the checked run
-      // reshuffles the schedule without perturbing fp summation order, so
+      // reshuffles the schedule without perturbing the fold order, so
       // results stay bitwise-identical across seeds.
       portacheck::begin_region();
       const auto order = portacheck::permutation(nt, portacheck::order_seed());
       pool.run([&](std::size_t t) {
         const std::size_t b = order[t];
-        T acc{};
+        T acc = op.identity();
         const auto block = detail::static_block(extent, nt, b);
         for (std::size_t i = block.begin; i < block.end; ++i) {
           portacheck::LaneScope lane(i);
@@ -482,16 +481,24 @@ void parallel_reduce(const ThreadsSpace& space, const RangePolicy& policy, F&& f
       });
     } else {
       pool.run_auto([&](std::size_t t) {
-        T acc{};
+        T acc = op.identity();
         const auto block = detail::static_block(extent, nt, t);
         for (std::size_t i = block.begin; i < block.end; ++i) f(policy.begin + i, acc);
         partial[t].value = acc;
       }, extent);
     }
   }
-  T total{};
-  for (const auto& p : partial) total += p.value;
-  result = total;
+  T total = op.identity();
+  for (const auto& p : partial) total = op(total, p.value);
+  return total;
+}
+
+/// Kokkos-shape sum reduce: f(i, acc) accumulates into acc, the total
+/// lands in `result`.
+template <class Space, class F, class T>
+  requires(!ReductionOp<std::remove_cvref_t<F>>)
+void parallel_reduce(const Space& space, const RangePolicy& policy, F&& f, T& result) {
+  result = parallel_reduce(space, policy, SumOp<T>{}, std::forward<F>(f));
 }
 
 }  // namespace portabench::simrt

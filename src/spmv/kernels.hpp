@@ -9,7 +9,7 @@
 //     into shared rows;
 //   - GPU scalar: one thread per row (the canonical naive CUDA SpMV);
 //   - GPU vector: one warp-sized block per row, cooperative reduction —
-//     the standard fix for long rows, built on block_reduce_sum.
+//     the standard fix for long rows, built on block_reduce.
 #pragma once
 
 #include <span>
@@ -116,13 +116,15 @@ void spmv_gpu_vector(gpusim::DeviceContext& ctx, const CsrMatrix<T>& A, const BX
       ctx, {A.rows, 1, 1}, {warp, 1, 1}, warp * sizeof(T), [&](gpusim::BlockCtx& bc) {
         const std::size_t r = bc.block_idx().x;
         auto scratch = bc.template shared<T>(warp);
-        const T total = gpusim::block_reduce_sum<T>(bc, scratch, [&](const gpusim::ThreadCtx& tc) {
-          T sum{};
-          for (std::size_t e = row_ptr[r] + tc.thread_idx.x; e < row_ptr[r + 1]; e += warp) {
-            sum += values[e] * static_cast<T>(x[col_idx[e]]);
-          }
-          return sum;
-        });
+        const T total = gpusim::block_reduce(
+            bc, scratch, simrt::SumOp<T>{}, [&](const gpusim::ThreadCtx& tc) {
+              T sum{};
+              for (std::size_t e = row_ptr[r] + tc.thread_idx.x; e < row_ptr[r + 1];
+                   e += warp) {
+                sum += values[e] * static_cast<T>(x[col_idx[e]]);
+              }
+              return sum;
+            });
         bc.for_lanes([&](const gpusim::ThreadCtx& tc) {
           if (tc.thread_idx.x == 0) y[r] = total;
         });

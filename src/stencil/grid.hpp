@@ -10,10 +10,8 @@
 #include <cstddef>
 
 #include "common/error.hpp"
-#include "primitives/reduce.hpp"
 #include "simrt/mdarray.hpp"
 #include "simrt/parallel.hpp"
-#include "simrt/reducers.hpp"
 #include "simrt/simd_reduce.hpp"
 
 namespace portabench::stencil {
@@ -58,38 +56,13 @@ class Grid2D {
 };
 
 /// Max-norm of the difference between two fields' interiors: the Jacobi
-/// convergence residual.  The per-row partial runs through the SIMD
-/// max-abs-diff reduction (simrt/simd_reduce.hpp) — max is exact, so the
-/// blocked form returns the identical value to the scalar j loop.
+/// convergence residual, 0 for a grid with no interior.  The per-row
+/// partial runs through the SIMD max-abs-diff reduction
+/// (simrt/simd_reduce.hpp) — max is exact, so the blocked form returns
+/// the identical value to the scalar j loop.
 template <class Space>
 double residual_max(const Space& space, const simrt::View2<double, simrt::LayoutRight>& u,
                     const simrt::View2<double, simrt::LayoutRight>& v) {
-  PB_EXPECTS(u.extent(0) == v.extent(0) && u.extent(1) == v.extent(1));
-  const std::size_t rows = u.extent(0);
-  const std::size_t cols = u.extent(1);
-  const double* ubase = u.data();
-  const double* vbase = v.data();
-  const std::size_t ustr = u.stride(0);
-  const std::size_t vstr = v.stride(0);
-  return simrt::parallel_reduce(
-      space, simrt::RangePolicy(1, rows - 1), simrt::Max<double>{},
-      [=](std::size_t i, double& acc) {
-        if (cols > 2) {
-          acc = simrt::Max<double>::join(
-              acc, simrt::simd_max_abs_diff(ubase + i * ustr + 1, vbase + i * vstr + 1,
-                                            cols - 2));
-        }
-      });
-}
-
-/// Device-side residual: the interior-row partials run through the SAME
-/// pinned-width simrt::simd_max_abs_diff kernel as the host path, and
-/// the row partials combine through the primitives' hierarchical
-/// (warp-tree) max reduce.  Max is exact, so this returns a value
-/// bitwise-identical to residual_max for every space and schedule.
-inline double residual_max_device(gpusim::DeviceContext& ctx,
-                                  const simrt::View2<double, simrt::LayoutRight>& u,
-                                  const simrt::View2<double, simrt::LayoutRight>& v) {
   PB_EXPECTS(u.extent(0) == v.extent(0) && u.extent(1) == v.extent(1));
   const std::size_t rows = u.extent(0);
   const std::size_t cols = u.extent(1);
@@ -98,10 +71,11 @@ inline double residual_max_device(gpusim::DeviceContext& ctx,
   const double* vbase = v.data();
   const std::size_t ustr = u.stride(0);
   const std::size_t vstr = v.stride(0);
-  return primitives::device_transform_reduce<double>(
-      ctx, rows - 2, primitives::MaxOp<double>{}, [=](std::size_t r) {
-        return simrt::simd_max_abs_diff(ubase + (r + 1) * ustr + 1,
-                                        vbase + (r + 1) * vstr + 1, cols - 2);
+  const simrt::MaxOp<double> max;
+  return simrt::parallel_reduce(
+      space, simrt::RangePolicy(1, rows - 1), max, [=](std::size_t i, double& acc) {
+        acc = max(acc, simrt::simd_max_abs_diff(ubase + i * ustr + 1, vbase + i * vstr + 1,
+                                                cols - 2));
       });
 }
 

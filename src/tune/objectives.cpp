@@ -228,11 +228,11 @@ Objective primitives_scan_objective(std::size_t n) {
     Timer timer;
     primitives::device_exclusive_scan(st->ctx, std::span<const double>(st->in),
                                       std::span<double>(st->out),
-                                      primitives::SumOp<double>{}, sc);
+                                      simrt::SumOp<double>{}, sc);
     // The reduce runs through real launches — it cannot be elided; the
     // value itself is pinned elsewhere (tuned_vs_default, oracle tests).
     (void)primitives::device_reduce(st->ctx, std::span<const double>(st->in),
-                                    primitives::SumOp<double>{}, rc);
+                                    simrt::SumOp<double>{}, rc);
     return timer.seconds() * 1e3;
   };
 }

@@ -155,13 +155,6 @@ std::vector<SpaceDesc> build_registry() {
                         false,
                         "jobs per shard flush; larger batches amortize launches, "
                         "smaller ones bound latency"});
-    s.params.push_back({"sort_radix",
-                        {0, 1},
-                        0,
-                        false,
-                        "flush-batch ordering kernel: 0 = std::sort, 1 = the "
-                        "primitives LSD radix path (same (bucket, id) order "
-                        "either way — stability makes them interchangeable)"});
     spaces.push_back(std::move(s));
   }
 

@@ -161,17 +161,6 @@ std::size_t Tuned::serve_batch_jobs(std::size_t fallback) noexcept {
   return as_size_knob(it->second, fallback);
 }
 
-bool Tuned::serve_sort_radix(bool fallback) noexcept {
-  ensure_loaded();
-  std::lock_guard<TuneMutex> lock(mutex_);
-  if (disabled_) return fallback;
-  const CacheEntry* e = cache_.find("serve-batch", "-", 0, fingerprint_);
-  if (e == nullptr) return fallback;
-  const auto it = e->config.find("sort_radix");
-  if (it == e->config.end()) return fallback;
-  return it->second != 0;
-}
-
 primitives::SortConfig Tuned::radix_sort_config(primitives::SortConfig fallback) noexcept {
   ensure_loaded();
   std::lock_guard<TuneMutex> lock(mutex_);

@@ -63,10 +63,6 @@ class Tuned {
   /// Tuned ServeEngine batch size, or `fallback` when untuned.
   [[nodiscard]] std::size_t serve_batch_jobs(std::size_t fallback) noexcept;
 
-  /// Tuned ServeEngine flush-sort kernel choice ("serve-batch" space,
-  /// sort_radix knob), or `fallback` when untuned.
-  [[nodiscard]] bool serve_sort_radix(bool fallback) noexcept;
-
   /// Tuned device radix-sort schedule ("primitives-radix" space)
   /// overlaid on `fallback`.  Every knob is schedule-only: the sorted
   /// output is identical for any valid config.

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
+#include <utility>
 #include <vector>
 
-#include "primitives/op.hpp"
+#include "simrt/op.hpp"
 
 namespace portabench::gpusim {
 namespace {
@@ -21,8 +23,8 @@ TEST_P(BlockPrimitives, ReduceSumsLaneIds) {
   double total = -1.0;
   launch_blocks(ctx_, {1, 1, 1}, {lanes, 1, 1}, lanes * sizeof(double), [&](BlockCtx& bc) {
     auto scratch = bc.shared<double>(lanes);
-    // portalint: ls-capture-write-ok(block_reduce_sum broadcasts; every lane stores the identical reduced value)
-    total = block_reduce_sum<double>(bc, scratch, [](const ThreadCtx& tc) {
+    // portalint: ls-capture-write-ok(block_reduce broadcasts; every lane stores the identical reduced value)
+    total = block_reduce(bc, scratch, simrt::SumOp<double>{}, [](const ThreadCtx& tc) {
       return static_cast<double>(tc.lane_in_block());
     });
   });
@@ -35,7 +37,7 @@ TEST_P(BlockPrimitives, ExclusiveScanMatchesReference) {
   std::vector<long> result(lanes, -1);
   launch_blocks(ctx_, {1, 1, 1}, {lanes, 1, 1}, 2 * lanes * sizeof(long), [&](BlockCtx& bc) {
     auto scratch = bc.shared<long>(2 * lanes);
-    block_exclusive_scan<long>(bc, scratch, [](const ThreadCtx& tc) {
+    block_exclusive_scan(bc, scratch, simrt::SumOp<long>{}, [](const ThreadCtx& tc) {
       return static_cast<long>(tc.lane_in_block() + 1);  // values 1..lanes
     });
     bc.for_lanes([&](const ThreadCtx& tc) {
@@ -58,7 +60,7 @@ TEST_P(BlockPrimitives, ReduceMaxEqualsLeftFold) {
   launch_blocks(ctx_, {1, 1, 1}, {lanes, 1, 1}, lanes * sizeof(long), [&](BlockCtx& bc) {
     auto scratch = bc.shared<long>(lanes);
     // portalint: ls-capture-write-ok(block_reduce broadcasts; every lane stores the identical reduced value)
-    got = block_reduce(bc, scratch, primitives::MaxOp<long>{},
+    got = block_reduce(bc, scratch, simrt::MaxOp<long>{},
                        [&](const ThreadCtx& tc) { return value(tc.lane_in_block()); });
   });
   long want = value(0);
@@ -70,7 +72,7 @@ TEST_P(BlockPrimitives, ScanNonCommutativeOpKeepsLaneOrder) {
   // Affine composition is associative but NOT commutative: the scan is
   // correct only if every combine keeps the earlier lane on the left.
   const std::size_t lanes = GetParam();
-  using Aff = primitives::Affine<long>;
+  using Aff = simrt::Affine<long>;
   const auto value = [](std::size_t lane) {
     return Aff{static_cast<long>(lane % 3 + 1), static_cast<long>(lane % 5) - 2};
   };
@@ -78,7 +80,7 @@ TEST_P(BlockPrimitives, ScanNonCommutativeOpKeepsLaneOrder) {
   launch_blocks(ctx_, {1, 1, 1}, {lanes, 1, 1}, 2 * lanes * sizeof(Aff),
                 [&](BlockCtx& bc) {
                   auto scratch = bc.shared<Aff>(2 * lanes);
-                  block_exclusive_scan(bc, scratch, primitives::AffineComposeOp<long>{},
+                  block_exclusive_scan(bc, scratch, simrt::AffineComposeOp<long>{},
                                        [&](const ThreadCtx& tc) {
                                          return value(tc.lane_in_block());
                                        });
@@ -86,7 +88,7 @@ TEST_P(BlockPrimitives, ScanNonCommutativeOpKeepsLaneOrder) {
                     got[tc.lane_in_block()] = scratch[tc.lane_in_block()];
                   });
                 });
-  const primitives::AffineComposeOp<long> op;
+  const simrt::AffineComposeOp<long> op;
   Aff run = op.identity();
   for (std::size_t i = 0; i < lanes; ++i) {
     EXPECT_TRUE(got[i] == run) << "lane " << i << ": {" << got[i].mul << ","
@@ -102,7 +104,7 @@ TEST_P(BlockPrimitives, InclusiveScanMatchesReference) {
   launch_blocks(ctx_, {1, 1, 1}, {lanes, 1, 1}, 2 * lanes * sizeof(long),
                 [&](BlockCtx& bc) {
                   auto scratch = bc.shared<long>(2 * lanes);
-                  block_inclusive_scan(bc, scratch, primitives::SumOp<long>{},
+                  block_inclusive_scan(bc, scratch, simrt::SumOp<long>{},
                                        [](const ThreadCtx& tc) {
                                          return static_cast<long>(tc.lane_in_block() + 1);
                                        });
@@ -118,15 +120,19 @@ TEST_P(BlockPrimitives, InclusiveScanMatchesReference) {
 }
 
 TEST_P(BlockPrimitives, HillisBaselineMatchesBlellochOnExactOps) {
+  // The Hillis-Steele shape the Blelloch scan replaced survives only as
+  // this host model: on an exact op it yields the same prefixes, and its
+  // combine count is the closed form bench/micro_primitives reports,
+  // lanes * ceil(log2 lanes) - (2^ceil(log2 lanes) - 1).
   const std::size_t lanes = GetParam();
   const auto value = [](std::size_t lane) {
     return static_cast<long>((lane * 48271u) % 97) - 48;
   };
-  std::vector<long> blelloch(lanes), hillis(lanes);
+  std::vector<long> blelloch(lanes);
   launch_blocks(ctx_, {1, 1, 1}, {lanes, 1, 1}, 2 * lanes * sizeof(long),
                 [&](BlockCtx& bc) {
                   auto scratch = bc.shared<long>(2 * lanes);
-                  block_exclusive_scan(bc, scratch, primitives::SumOp<long>{},
+                  block_exclusive_scan(bc, scratch, simrt::SumOp<long>{},
                                        [&](const ThreadCtx& tc) {
                                          return value(tc.lane_in_block());
                                        });
@@ -134,18 +140,21 @@ TEST_P(BlockPrimitives, HillisBaselineMatchesBlellochOnExactOps) {
                     blelloch[tc.lane_in_block()] = scratch[tc.lane_in_block()];
                   });
                 });
-  launch_blocks(ctx_, {1, 1, 1}, {lanes, 1, 1}, 2 * lanes * sizeof(long),
-                [&](BlockCtx& bc) {
-                  auto scratch = bc.shared<long>(2 * lanes);
-                  block_exclusive_scan_hillis(bc, scratch, primitives::SumOp<long>{},
-                                              [&](const ThreadCtx& tc) {
-                                                return value(tc.lane_in_block());
-                                              });
-                  bc.for_lanes([&](const ThreadCtx& tc) {
-                    hillis[tc.lane_in_block()] = scratch[tc.lane_in_block()];
-                  });
-                });
+  std::vector<long> inclusive(lanes);
+  for (std::size_t i = 0; i < lanes; ++i) inclusive[i] = value(i);
+  std::size_t combines = 0;
+  for (std::size_t stride = 1; stride < lanes; stride *= 2) {
+    std::vector<long> next = inclusive;
+    for (std::size_t i = stride; i < lanes; ++i, ++combines) {
+      next[i] = inclusive[i - stride] + inclusive[i];
+    }
+    inclusive = std::move(next);
+  }
+  std::vector<long> hillis(lanes, 0);
+  for (std::size_t i = 1; i < lanes; ++i) hillis[i] = inclusive[i - 1];
   EXPECT_EQ(blelloch, hillis);
+  const std::size_t levels = std::bit_width(lanes - 1);
+  EXPECT_EQ(combines, lanes * levels - ((std::size_t{1} << levels) - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(LaneCounts, BlockPrimitives,
@@ -157,9 +166,9 @@ TEST(BlockPrimitivesMulti, ReducePerBlockIndependent) {
   std::vector<double> totals(4, 0.0);
   launch_blocks(ctx, {4, 1, 1}, {kLanes, 1, 1}, kLanes * sizeof(double), [&](BlockCtx& bc) {
     auto scratch = bc.shared<double>(kLanes);
-    totals[bc.block_idx().x] = block_reduce_sum<double>(bc, scratch, [&](const ThreadCtx&) {
-      return static_cast<double>(bc.block_idx().x + 1);
-    });
+    totals[bc.block_idx().x] =
+        block_reduce(bc, scratch, simrt::SumOp<double>{},
+                     [&](const ThreadCtx&) { return static_cast<double>(bc.block_idx().x + 1); });
   });
   for (std::size_t b = 0; b < 4; ++b) {
     EXPECT_DOUBLE_EQ(totals[b], static_cast<double>((b + 1) * kLanes));
@@ -171,9 +180,9 @@ TEST(BlockPrimitivesMulti, Reduce2DBlockLinearizesLanes) {
   double total = -1.0;
   launch_blocks(ctx, {1, 1, 1}, {8, 4, 1}, 32 * sizeof(double), [&](BlockCtx& bc) {
     auto scratch = bc.shared<double>(32);
-    // portalint: ls-capture-write-ok(block_reduce_sum broadcasts; every lane stores the identical reduced value)
-    total = block_reduce_sum<double>(bc, scratch,
-                                     [](const ThreadCtx&) { return 1.0; });
+    // portalint: ls-capture-write-ok(block_reduce broadcasts; every lane stores the identical reduced value)
+    total = block_reduce(bc, scratch, simrt::SumOp<double>{},
+                         [](const ThreadCtx&) { return 1.0; });
   });
   EXPECT_DOUBLE_EQ(total, 32.0);
 }
@@ -196,8 +205,8 @@ TEST(BlockPrimitivesMulti, DotProductKernel) {
   launch_blocks(ctx, {blocks, 1, 1}, {kLanes, 1, 1}, kLanes * sizeof(double),
                 [&](BlockCtx& bc) {
                   auto scratch = bc.shared<double>(kLanes);
-                  partial[bc.block_idx().x] =
-                      block_reduce_sum<double>(bc, scratch, [&](const ThreadCtx& tc) {
+                  partial[bc.block_idx().x] = block_reduce(
+                      bc, scratch, simrt::SumOp<double>{}, [&](const ThreadCtx& tc) {
                         const std::size_t i = tc.global_x();
                         return i < kN ? x[i] * y[i] : 0.0;
                       });
@@ -211,12 +220,12 @@ TEST(BlockPrimitivesMulti, ScratchTooSmallRejected) {
   DeviceContext ctx(GpuSpec::a100());
   launch_blocks(ctx, {1, 1, 1}, {32, 1, 1}, 64 * sizeof(double), [&](BlockCtx& bc) {
     auto small = bc.shared<double>(16);
-    EXPECT_THROW(block_reduce_sum<double>(bc, small, [](const ThreadCtx&) { return 1.0; }),
+    const simrt::SumOp<double> sum;
+    EXPECT_THROW(block_reduce(bc, small, sum, [](const ThreadCtx&) { return 1.0; }),
                  precondition_error);
     auto scan_small = bc.shared<double>(33);
-    EXPECT_THROW(
-        block_exclusive_scan<double>(bc, scan_small, [](const ThreadCtx&) { return 1.0; }),
-        precondition_error);
+    EXPECT_THROW(block_exclusive_scan(bc, scan_small, sum, [](const ThreadCtx&) { return 1.0; }),
+                 precondition_error);
   });
 }
 

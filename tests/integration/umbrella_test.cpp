@@ -20,9 +20,9 @@ TEST(Umbrella, EndToEndThroughPublicApi) {
   gemm::gemm_openmp_style<double>(space, a, b, c);
   EXPECT_GT(gemm::checksum(c), 0.0);
 
-  // Reduction through the reducer API.
+  // Reduction through the op form.
   const double sum = simrt::parallel_reduce(
-      space, simrt::RangePolicy(0, 64), simrt::Sum<double>{},
+      space, simrt::RangePolicy(0, 64), simrt::SumOp<double>{},
       [&](std::size_t i, double& acc) { acc += c.data()[i]; });
   EXPECT_NEAR(sum, gemm::checksum(c), 1e-9);
 

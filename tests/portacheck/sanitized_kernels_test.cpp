@@ -11,6 +11,7 @@
 // it (and the kernel suites) under PORTABENCH_CHECK_SEED = 1, 2, 3.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <span>
 #include <string>
@@ -348,20 +349,44 @@ TEST(SanitizedDeterminism, GemmChecksumBitwiseIdenticalAcrossSeeds) {
 
 TEST(SanitizedDeterminism, ParallelReduceBitwiseIdenticalAcrossSeeds) {
   // The permuted scheduler reassigns blocks to threads but must preserve
-  // the fp summation order (partials joined in block order).
-  std::vector<double> results;
+  // each block's fold order and the block-ordered join: the fp sum and a
+  // max come out identical across seeds, and a non-commutative affine
+  // composition equals the serial left fold.
+  constexpr std::size_t kN = 10'000;
+  const simrt::MaxOp<double> max;
+  const simrt::AffineComposeOp<long> compose;
+  // Multipliers of +-1 keep the composed coefficients small (no overflow).
+  const auto affine = [](std::size_t i) {
+    return simrt::Affine<long>{i % 3 == 0 ? -1L : 1L, static_cast<long>(i % 7) - 3};
+  };
+  simrt::Affine<long> left_fold = compose.identity();
+  for (std::size_t i = 0; i < kN; ++i) left_fold = compose(left_fold, affine(i));
+
+  std::vector<double> sums;
+  std::vector<double> maxes;
   for (std::uint64_t seed : {0ull, 1ull, 5ull, 99ull}) {
     pc::ScopedCheck check(seed);
     simrt::ThreadsSpace space(4);
     double sum = 0.0;
-    simrt::parallel_reduce(space, simrt::RangePolicy(0, 10'000),
+    simrt::parallel_reduce(space, simrt::RangePolicy(0, kN),
                            [](std::size_t i, double& acc) {
                              acc += 1.0 / static_cast<double>(i + 1);
                            },
                            sum);
-    results.push_back(sum);
+    sums.push_back(sum);
+    maxes.push_back(simrt::parallel_reduce(
+        space, simrt::RangePolicy(0, kN), max, [&](std::size_t i, double& acc) {
+          acc = max(acc, std::sin(static_cast<double>(i)));
+        }));
+    const simrt::Affine<long> composed = simrt::parallel_reduce(
+        space, simrt::RangePolicy(0, kN), compose,
+        [&](std::size_t i, simrt::Affine<long>& acc) { acc = compose(acc, affine(i)); });
+    EXPECT_TRUE(composed == left_fold) << "seed " << seed;
   }
-  for (std::size_t i = 1; i < results.size(); ++i) EXPECT_EQ(results[0], results[i]);
+  for (std::size_t i = 1; i < sums.size(); ++i) {
+    EXPECT_EQ(sums[0], sums[i]);
+    EXPECT_EQ(maxes[0], maxes[i]);
+  }
 }
 
 // --- Negative controls: the defective fixtures must be caught --------------

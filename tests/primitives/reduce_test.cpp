@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +18,16 @@
 
 namespace portabench::primitives {
 namespace {
+
+using simrt::BitAndOp;
+using simrt::BitOrOp;
+using simrt::BitXorOp;
+using simrt::MaxOp;
+using simrt::MinOp;
+using simrt::NanMaxOp;
+using simrt::NanMinOp;
+using simrt::ProdOp;
+using simrt::SumOp;
 
 // Odd, prime, power-of-two, and segment-straddling sizes; empty and
 // single-element inputs are the degenerate cells.
@@ -80,10 +92,10 @@ TEST(DeviceReduce, ExactOpsEqualPlainLeftFold) {
   // segment structure must be invisible.
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
   const std::vector<std::int64_t> in = random_values<std::int64_t>(5000, 42);
-  std::int64_t fold = 0;
-  for (const std::int64_t x : in) fold += x;
+  std::uint64_t fold = 0;  // the sum wraps mod 2^64, as SumOp's does
+  for (const std::int64_t x : in) fold += static_cast<std::uint64_t>(x);
   EXPECT_EQ(device_reduce(ctx, std::span<const std::int64_t>(in), SumOp<std::int64_t>{}),
-            fold);
+            static_cast<std::int64_t>(fold));
   std::int64_t mx = in[0];
   for (const std::int64_t x : in) mx = std::max(mx, x);
   EXPECT_EQ(device_reduce(ctx, std::span<const std::int64_t>(in), MaxOp<std::int64_t>{}),
@@ -162,23 +174,23 @@ TEST(DeviceTransformReduce, MatchesOracle) {
 }
 
 TEST(DeviceMaxAbsDiff, MatchesOracleAndScalar) {
+  // The stencil-residual shape max |a[i] - b[i]| is a transform-reduce
+  // under MaxOp; max is exact, so every schedule must give the value of
+  // the plain scalar loop.
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
   for (const std::size_t n : kSizes) {
     const std::vector<double> a = random_values<double>(n, 100 + n);
     const std::vector<double> b = random_values<double>(n, 200 + n);
-    const double want = max_abs_diff_oracle(std::span<const double>(a),
-                                            std::span<const double>(b));
+    const auto abs_diff = [&](std::size_t i) { return std::abs(a[i] - b[i]); };
+    const double want = transform_reduce_oracle<double>(n, MaxOp<double>{}, abs_diff);
     for (const ReduceConfig& cfg : kConfigs) {
       const double got =
-          device_max_abs_diff(ctx, std::span<const double>(a), std::span<const double>(b), cfg);
+          device_transform_reduce<double>(ctx, n, MaxOp<double>{}, abs_diff, cfg);
       EXPECT_TRUE(bits_equal(got, want)) << "n=" << n << " lanes=" << cfg.lanes;
     }
-    // Max is exact: the pinned value equals the scalar loop's value.
-    double scalar = n == 0 ? -std::numeric_limits<double>::infinity() : 0.0;
-    for (std::size_t i = 0; i < n; ++i) scalar = std::max(scalar, std::abs(a[i] - b[i]));
-    if (n > 0) {
-      EXPECT_EQ(want, scalar) << "n=" << n;
-    }
+    double scalar = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) scalar = std::max(scalar, abs_diff(i));
+    EXPECT_TRUE(bits_equal(want, scalar)) << "n=" << n;
   }
 }
 

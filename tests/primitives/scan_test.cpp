@@ -18,6 +18,13 @@
 namespace portabench::primitives {
 namespace {
 
+using simrt::Affine;
+using simrt::AffineComposeOp;
+using simrt::BitOrOp;
+using simrt::MaxOp;
+using simrt::MinOp;
+using simrt::SumOp;
+
 const std::size_t kSizes[] = {0, 1, 2, 3, 97, 1023, 1024, 1025, 4099, 10007};
 
 const ScanConfig kConfigs[] = {
@@ -158,6 +165,44 @@ TEST(DeviceScan, InclusiveIsExclusiveShiftedForExactOps) {
     EXPECT_EQ(inc[i], ex[i] + in[i]) << "i=" << i;
   }
 }
+
+// Small (extent, threads) grid against hand-rolled sequential scans;
+// `threads` is the block width (ScanConfig::lanes).
+class ScanTest : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(ScanTest, ExclusiveMatchesSerialReference) {
+  const auto [extent, threads] = GetParam();
+  std::vector<long> in(extent);
+  for (std::size_t i = 0; i < extent; ++i) in[i] = static_cast<long>((i * 31 + 7) % 100);
+  std::vector<long> expected(extent);
+  long running = 0;
+  for (std::size_t i = 0; i < extent; ++i) {
+    expected[i] = running;
+    running += in[i];
+  }
+  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
+  std::vector<long> out(extent, -1);
+  device_exclusive_scan(ctx, std::span<const long>(in), std::span<long>(out), SumOp<long>{},
+                        ScanConfig{.lanes = threads});
+  EXPECT_EQ(out, expected);
+}
+
+TEST_P(ScanTest, InclusiveMatchesPartialSum) {
+  const auto [extent, threads] = GetParam();
+  std::vector<long> in(extent);
+  for (std::size_t i = 0; i < extent; ++i) in[i] = static_cast<long>(i % 13);
+  std::vector<long> expected(extent);
+  std::partial_sum(in.begin(), in.end(), expected.begin());
+  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
+  std::vector<long> out(extent, -1);
+  device_inclusive_scan(ctx, std::span<const long>(in), std::span<long>(out), SumOp<long>{},
+                        ScanConfig{.lanes = threads});
+  EXPECT_EQ(out, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(ExtentsAndThreads, ScanTest,
+                         ::testing::Combine(::testing::Values(0, 1, 2, 5, 64, 1000),
+                                            ::testing::Values(1, 3, 4, 8)));
 
 TEST(DeviceScan, MismatchedSpansRejected) {
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());

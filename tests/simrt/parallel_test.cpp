@@ -1,9 +1,11 @@
-// Tests for parallel_for / parallel_reduce over the host execution spaces.
+// Tests for parallel_for / parallel_reduce over the host execution spaces,
+// and for the reduction ops parallel_reduce takes.
 #include "simrt/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -266,6 +268,120 @@ TEST(ParallelReduce, SerialMatchesThreadsWithIntegers) {
   parallel_reduce(serial, RangePolicy(0, 5000), body, a);
   parallel_reduce(threads, RangePolicy(0, 5000), body, b);
   EXPECT_EQ(a, b);
+}
+
+// --- op form: parallel_reduce(space, policy, op, f) -> T --------------------
+
+class ReducerSpaces : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  ThreadsSpace space_{GetParam()};
+};
+
+TEST_P(ReducerSpaces, SumMatchesClosedForm) {
+  const long result = parallel_reduce(space_, RangePolicy(0, 1001), SumOp<long>{},
+                                      [](std::size_t i, long& acc) { acc += static_cast<long>(i); });
+  EXPECT_EQ(result, 500500L);
+}
+
+TEST_P(ReducerSpaces, MinFindsGlobalMinimum) {
+  std::vector<double> data(997);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<double>((i * 7919) % 1000);
+  }
+  data[513] = -42.0;
+  const MinOp<double> min;
+  const double result = parallel_reduce(space_, RangePolicy(0, data.size()), min,
+                                        [&](std::size_t i, double& acc) { acc = min(acc, data[i]); });
+  EXPECT_EQ(result, -42.0);
+}
+
+TEST_P(ReducerSpaces, MaxFindsGlobalMaximum) {
+  std::vector<int> data(500);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<int>(i % 100);
+  data[77] = 100000;
+  const MaxOp<int> max;
+  const int result = parallel_reduce(space_, RangePolicy(0, data.size()), max,
+                                     [&](std::size_t i, int& acc) { acc = max(acc, data[i]); });
+  EXPECT_EQ(result, 100000);
+}
+
+TEST_P(ReducerSpaces, ProdOverSmallRange) {
+  const long result = parallel_reduce(space_, RangePolicy(1, 11), ProdOp<long>{},
+                                      [](std::size_t i, long& acc) { acc *= static_cast<long>(i); });
+  EXPECT_EQ(result, 3628800L);  // 10!
+}
+
+/// Arg-min over (value, index) pairs — a user-defined op over a
+/// user-defined type; the earlier element wins ties.
+struct ValueIndex {
+  double value;
+  std::size_t index;
+};
+
+struct MinLocOp {
+  static constexpr bool kExact = true;
+  [[nodiscard]] ValueIndex operator()(const ValueIndex& a, const ValueIndex& b) const {
+    return b.value < a.value ? b : a;
+  }
+  [[nodiscard]] ValueIndex identity() const {
+    return {std::numeric_limits<double>::infinity(), static_cast<std::size_t>(-1)};
+  }
+};
+
+TEST_P(ReducerSpaces, MinLocTracksIndex) {
+  std::vector<double> data(300, 5.0);
+  data[123] = -1.0;
+  data[250] = -1.0;  // tie: the earlier index must win
+  const MinLocOp op;
+  const ValueIndex result =
+      parallel_reduce(space_, RangePolicy(0, data.size()), op,
+                      [&](std::size_t i, ValueIndex& acc) { acc = op(acc, {data[i], i}); });
+  EXPECT_EQ(result.value, -1.0);
+  EXPECT_EQ(result.index, 123u);
+}
+
+TEST_P(ReducerSpaces, EmptyRangeYieldsIdentity) {
+  const long sum = parallel_reduce(space_, RangePolicy(5, 5), SumOp<long>{},
+                                   [](std::size_t, long& acc) { acc += 1; });
+  EXPECT_EQ(sum, 0L);
+  const MinOp<double> min;
+  EXPECT_EQ(parallel_reduce(space_, RangePolicy(5, 5), min, [](std::size_t, double&) {}),
+            min.identity());
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ReducerSpaces, ::testing::Values(1, 2, 4, 7));
+
+TEST(Reducers, SerialMatchesThreaded) {
+  SerialSpace serial;
+  ThreadsSpace threads(4);
+  auto body = [](std::size_t i, long& acc) { acc += static_cast<long>(i * i); };
+  const long a = parallel_reduce(serial, RangePolicy(0, 4000), SumOp<long>{}, body);
+  const long b = parallel_reduce(threads, RangePolicy(0, 4000), SumOp<long>{}, body);
+  EXPECT_EQ(a, b);
+}
+
+TEST(Reducers, Identities) {
+  EXPECT_EQ(SumOp<int>{}.identity(), 0);
+  EXPECT_EQ(ProdOp<int>{}.identity(), 1);
+  EXPECT_EQ(MinOp<int>{}.identity(), std::numeric_limits<int>::max());
+  EXPECT_EQ(MaxOp<int>{}.identity(), std::numeric_limits<int>::lowest());
+  EXPECT_EQ(MinOp<double>{}.identity(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(MaxOp<double>{}.identity(), -std::numeric_limits<double>::infinity());
+}
+
+TEST(Reducers, JoinIsAssociativeOnSamples) {
+  // Property: op(a, op(b, c)) == op(op(a, b), c) for Min/Max.
+  const MinOp<int> min;
+  const MaxOp<int> max;
+  const int samples[] = {3, -7, 0, 42, -1};
+  for (int a : samples) {
+    for (int b : samples) {
+      for (int c : samples) {
+        EXPECT_EQ(min(a, min(b, c)), min(min(a, b), c));
+        EXPECT_EQ(max(a, max(b, c)), max(max(a, b), c));
+      }
+    }
+  }
 }
 
 TEST(ParallelFor, ExceptionPropagatesFromBody) {

@@ -45,10 +45,11 @@ TEST(Residual, MaxNormOverInterior) {
 TEST(Residual, SimdPathMatchesScalarLoop) {
   // residual_max runs through simrt::simd_max_abs_diff; max has no
   // rounding, so the result must equal the plain sequential loop exactly
-  // on every shape, including interiors narrower than a vector.
+  // on every shape, including interiors narrower than a vector and grids
+  // with no interior at all (residual 0).
   simrt::ThreadsSpace space(3);
   for (auto [rows, cols] : {std::pair<std::size_t, std::size_t>{3, 3},
-                            {5, 4}, {17, 9}, {33, 70}}) {
+                            {5, 4}, {17, 9}, {33, 70}, {2, 5}, {5, 2}, {0, 5}}) {
     simrt::View2<double, simrt::LayoutRight> u(rows, cols);
     simrt::View2<double, simrt::LayoutRight> v(rows, cols);
     for (std::size_t i = 0; i < rows; ++i) {
@@ -65,6 +66,7 @@ TEST(Residual, SimdPathMatchesScalarLoop) {
       }
     }
     EXPECT_EQ(residual_max(space, u, v), ref) << rows << "x" << cols;
+    EXPECT_EQ(residual_max(simrt::SerialSpace{}, u, v), ref) << rows << "x" << cols;
   }
 }
 

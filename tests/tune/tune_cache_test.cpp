@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "tune/cache.hpp"
 #include "tune/fingerprint.hpp"
 #include "tune/tuned.hpp"
@@ -23,8 +25,10 @@ namespace {
 using namespace portabench;
 using namespace portabench::tune;
 
+/// Per-process name: ctest runs this binary's cases and its sanitized
+/// seeds concurrently, and they must not share cache files.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "portabench_" + name;
+  return ::testing::TempDir() + "portabench_" + std::to_string(::getpid()) + "_" + name;
 }
 
 void write_file(const std::string& path, const std::string& text) {

@@ -181,7 +181,8 @@ int cmd_show(const CliParser& cli) {
   const CacheLoadResult r = cache.load(path);
   warn_if_bad_load(cache, r);
   if (r.status == CacheLoadStatus::kMissing) {
-    std::printf("%s: no cache (%s)\n", path.c_str(), cache_status_name(r.status));
+    std::printf("%s: no cache (%s)\n", path.c_str(),
+                std::string(cache_status_name(r.status)).c_str());
     return 0;
   }
 
@@ -210,7 +211,7 @@ int cmd_verify(const CliParser& cli) {
   warn_if_bad_load(cache, r);
   if (r.status != CacheLoadStatus::kOk) {
     std::fprintf(stderr, "portatune: nothing to verify (%s)\n",
-                 cache_status_name(r.status));
+                 std::string(cache_status_name(r.status)).c_str());
     return r.status == CacheLoadStatus::kMissing ? 0 : 1;
   }
 
