@@ -59,9 +59,9 @@ struct MeasuredPoint {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using gpusim::TopologyConfig;
   using perfmodel::GpuMachineModel;
   using perfmodel::GpuPerfSpec;
-  using perfmodel::LinkSpec;
 
   std::size_t n = 768;
   double require = 0.0;  // minimum 4-GCD speedup; 0 = report only
@@ -83,15 +83,16 @@ int main(int argc, char** argv) {
 
   // --- modeled curves (the original ablation tables, n = 16384) ---
   const GpuMachineModel mi250x(GpuPerfSpec::mi250x_gcd());
-  const auto strong = perfmodel::strong_scaling_gemm(
-      mi250x, LinkSpec::infinity_fabric(), Precision::kDouble, 16384, 8);
+  const gpusim::LinkModel crusher_link = TopologyConfig::crusher_node().h2d_local;
+  const auto strong = perfmodel::strong_scaling_gemm(mi250x, crusher_link,
+                                                     Precision::kDouble, 16384, 8);
   print_sweep("Crusher node: 8 MI250X GCDs, strong scaling (one GEMM row-split)", strong);
   print_sweep("Crusher node: 8 GCDs, weak scaling (one GEMM per GCD)",
-              perfmodel::weak_scaling_gemm(mi250x, LinkSpec::infinity_fabric(),
-                                           Precision::kDouble, 16384, 8));
+              perfmodel::weak_scaling_gemm(mi250x, crusher_link, Precision::kDouble, 16384,
+                                           8));
   const GpuMachineModel a100(GpuPerfSpec::a100());
   print_sweep("Wombat node: 2 A100s, strong scaling",
-              perfmodel::strong_scaling_gemm(a100, LinkSpec::pcie4_x16(),
+              perfmodel::strong_scaling_gemm(a100, TopologyConfig::wombat_node().h2d_local,
                                              Precision::kDouble, 16384, 2));
 
   // --- measured sharded pipeline at 1/2/4 GCDs, host-sized problem ---
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
   std::vector<MeasuredPoint> measured;
   int failures = 0;
   for (const std::size_t g : device_counts) {
-    gpusim::TopologyConfig tc = gpusim::TopologyConfig::crusher_node(g);
+    TopologyConfig tc = TopologyConfig::crusher_node(g);
     tc.throttle_links = false;  // scaling run: links modeled, not enforced
     gpusim::DeviceTopology topo(tc);
 
@@ -148,7 +149,7 @@ int main(int argc, char** argv) {
   params.n = n;
   params.panel_rows = 128;
   const auto predicted = perfmodel::sharded_pipeline_gemm(
-      mi250x, perfmodel::NodeShape::crusher(), Precision::kDouble, params, 4);
+      mi250x, TopologyConfig::crusher_node(), Precision::kDouble, params, 4);
   std::vector<double> pred_totals;
   std::vector<double> meas_totals;
   for (const auto& p : measured) {

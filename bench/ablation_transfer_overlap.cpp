@@ -33,7 +33,6 @@
 #include "gpusim/topology.hpp"
 #include "multigpu/gemm.hpp"
 #include "perfmodel/interconnect.hpp"
-#include "perfmodel/multigpu.hpp"
 
 namespace {
 
@@ -63,18 +62,19 @@ double stream_schedule(gpusim::DeviceContext& ctx, double h2d_s, double kernel_s
   return makespan;
 }
 
-/// Modeled makespan of the panel pipeline driver itself: `panels` panels
-/// whose per-stage modeled seconds are given, overlapped or strict.
-double pipeline_makespan(gpusim::DeviceContext& ctx, std::size_t panels, double h2d_s,
+/// Modeled makespan of the panel pipeline driver itself on a one-device
+/// topology: `panels` panels whose per-stage modeled seconds are given,
+/// overlapped or strict.
+double pipeline_makespan(gpusim::DeviceTopology& topo, std::size_t panels, double h2d_s,
                          double kernel_s, double d2h_s, bool overlap) {
-  gpusim::PipelineOptions opt;
-  opt.overlap = overlap;
-  const auto stats = gpusim::run_pipeline(
-      ctx, panels, opt,
-      [&](gpusim::Stream& s, std::size_t, std::size_t) { s.enqueue(h2d_s); },
-      [&](gpusim::Stream& s, std::size_t, std::size_t) { s.enqueue(kernel_s); },
-      [&](gpusim::Stream& s, std::size_t, std::size_t) { s.enqueue(d2h_s); });
-  return stats.modeled_s;
+  const auto stage = [](double cost) {
+    return [cost](gpusim::Stream& s, std::size_t, std::size_t, std::size_t) {
+      s.enqueue(cost);
+    };
+  };
+  return gpusim::run_sharded_pipeline(topo, {panels}, overlap, stage(h2d_s),
+                                      stage(kernel_s), stage(d2h_s))
+      .modeled_s;
 }
 
 }  // namespace
@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
   using perfmodel::end_to_end_gemm;
   using perfmodel::GpuMachineModel;
   using perfmodel::GpuPerfSpec;
-  using perfmodel::LinkSpec;
 
   double require = 0.0;  // minimum scheduled overlap speedup; 0 = report only
   std::string out_path = "BENCH_overlap.json";
@@ -103,25 +102,24 @@ int main(int argc, char** argv) {
   struct Target {
     const char* label;
     GpuMachineModel model;
-    LinkSpec link;
-    gpusim::GpuSpec functional;
+    gpusim::TopologyConfig node;  ///< host link and functional device spec
   };
   Target targets[] = {
-      {"A100 over PCIe 4.0 x16", GpuMachineModel(GpuPerfSpec::a100()), LinkSpec::pcie4_x16(),
-       gpusim::GpuSpec::a100()},
+      {"A100 over PCIe 4.0 x16", GpuMachineModel(GpuPerfSpec::a100()),
+       gpusim::TopologyConfig::wombat_node()},
       {"MI250X GCD over Infinity Fabric", GpuMachineModel(GpuPerfSpec::mi250x_gcd()),
-       LinkSpec::infinity_fabric(), gpusim::GpuSpec::mi250x_gcd()},
+       gpusim::TopologyConfig::crusher_node()},
   };
 
   for (auto& target : targets) {
     std::cout << "--- " << target.label << " (FP64) ---\n";
     Table t({"n", "batches", "kernel (ms)", "H2D+D2H (ms)", "serial (ms)",
              "overlapped (ms)", "speedup", "stream-sched (ms)"});
-    gpusim::DeviceContext ctx(target.functional);
+    gpusim::DeviceContext ctx(target.node.device_spec);
     for (std::size_t n : {2048u, 4096u, 8192u}) {
       for (std::size_t batches : {1u, 4u, 16u}) {
-        const auto e2e =
-            end_to_end_gemm(target.model, target.link, Precision::kDouble, n, batches);
+        const auto e2e = end_to_end_gemm(target.model, target.node.h2d_local,
+                                         Precision::kDouble, n, batches);
         const double streams =
             stream_schedule(ctx, e2e.h2d_s, e2e.kernel_s, e2e.d2h_s, batches);
         t.add_row({std::to_string(n), std::to_string(batches),
@@ -144,17 +142,18 @@ int main(int argc, char** argv) {
   const std::size_t panel_rows = 128;
   const std::size_t panels = 16;
   const GpuMachineModel mi250x(GpuPerfSpec::mi250x_gcd());
-  const gpusim::TopologyConfig crusher = gpusim::TopologyConfig::crusher_node(1);
+  gpusim::TopologyConfig crusher = gpusim::TopologyConfig::crusher_node(1);
+  crusher.pin_workers = false;  // degenerate one-GCD topology: the shared engine
   const double kernel_panel = mi250x.reference_time(Precision::kDouble, bal_n).total_s *
                               static_cast<double>(panel_rows) / static_cast<double>(bal_n);
   const double bytes_panel = static_cast<double>(panel_rows * bal_n) * sizeof(double);
-  const double h2d_panel = crusher.h2d_local.seconds(static_cast<std::size_t>(bytes_panel));
+  const double h2d_panel = crusher.h2d_local.seconds(bytes_panel);
   const double d2h_panel = h2d_panel;
-  gpusim::DeviceContext sched_ctx(gpusim::GpuSpec::mi250x_gcd());
+  gpusim::DeviceTopology sched_topo(crusher);
   const double strict_s =
-      pipeline_makespan(sched_ctx, panels, h2d_panel, kernel_panel, d2h_panel, false);
+      pipeline_makespan(sched_topo, panels, h2d_panel, kernel_panel, d2h_panel, false);
   const double overlap_s =
-      pipeline_makespan(sched_ctx, panels, h2d_panel, kernel_panel, d2h_panel, true);
+      pipeline_makespan(sched_topo, panels, h2d_panel, kernel_panel, d2h_panel, true);
   const double sched_speedup = strict_s / overlap_s;
   std::cout << "Pipeline driver, balanced Crusher point (n=" << bal_n << ", " << panels
             << " panels of " << panel_rows << " rows):\n"

@@ -21,6 +21,7 @@
 #include "gemm/reference.hpp"
 #include "gemm/validate.hpp"
 #include "gpusim/stream.hpp"
+#include "gpusim/topology.hpp"
 #include "perfmodel/interconnect.hpp"
 #include "simrt/view3.hpp"
 
@@ -83,7 +84,7 @@ int main() {
   // 3. Device path: per-batch kernel launches pipelined on a stream.
   gpusim::DeviceContext ctx(gpusim::GpuSpec::mi250x_gcd());
   const perfmodel::GpuMachineModel machine(perfmodel::GpuPerfSpec::mi250x_gcd());
-  const auto link = perfmodel::LinkSpec::infinity_fabric();
+  const gpusim::LinkModel link = gpusim::TopologyConfig::crusher_node().h2d_local;
   const auto e2e = perfmodel::end_to_end_gemm(machine, link, Precision::kDouble, kN, kBatch);
 
   // Functional run of every batch on the simulator, verifying one slice.

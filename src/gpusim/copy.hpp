@@ -127,7 +127,7 @@ double peer_copy_async(Stream& stream, DeviceBuffer<T>& dst, std::size_t dst_off
   });
 }
 
-/// Topology-aware helpers: pick the link from the topology's shape and
+/// Topology-aware helpers: pick the link from the topology's config and
 /// honor its throttle flag.
 
 /// H2D onto `device`, staged from a host buffer homed in `src_domain`.
@@ -135,19 +135,20 @@ template <class T>
 double copy_to_device_async(DeviceTopology& topo, std::size_t device, Stream& stream,
                             DeviceBuffer<T>& dst, std::size_t dst_offset,
                             std::span<const T> src, std::size_t src_domain) {
+  const TopologyConfig& cfg = topo.config();
   return copy_to_device_async(stream, dst, dst_offset, src,
-                              Transfer{topo.h2d_link(device, src_domain),
-                                       topo.config().throttle_links});
+                              Transfer{cfg.h2d_link(device, src_domain), cfg.throttle_links});
 }
 
-/// D2H from `device` into a host buffer homed in `dst_domain`.
+/// D2H from `device` into a host buffer homed in `dst_domain` (duplex:
+/// the same link as H2D).
 template <class T>
 double copy_to_host_async(DeviceTopology& topo, std::size_t device, Stream& stream,
                           std::span<T> dst, const DeviceBuffer<T>& src,
                           std::size_t src_offset, std::size_t dst_domain) {
+  const TopologyConfig& cfg = topo.config();
   return copy_to_host_async(stream, dst, src, src_offset,
-                            Transfer{topo.h2d_link(device, dst_domain),
-                                     topo.config().throttle_links});
+                            Transfer{cfg.h2d_link(device, dst_domain), cfg.throttle_links});
 }
 
 /// Peer copy from `src_device` to `dst_device` over the topology's D2D
@@ -157,9 +158,9 @@ double peer_copy_async(DeviceTopology& topo, std::size_t src_device, std::size_t
                        Stream& stream, DeviceBuffer<T>& dst, std::size_t dst_offset,
                        const DeviceBuffer<T>& src, std::size_t src_offset,
                        std::size_t count) {
+  const TopologyConfig& cfg = topo.config();
   return peer_copy_async(stream, dst, dst_offset, src, src_offset, count,
-                         Transfer{topo.d2d_link(src_device, dst_device),
-                                  topo.config().throttle_links});
+                         Transfer{cfg.d2d_link(src_device, dst_device), cfg.throttle_links});
 }
 
 }  // namespace portabench::gpusim

@@ -2,28 +2,30 @@
 //
 // The paper's Section II calls out "the overlap of data transfers with
 // computations" as one of the capabilities a programming model must
-// expose.  This driver is that capability for the simulator: a panel
-// loop over three per-device streams (copy-in, compute, copy-out) with
-// `slots` rotating staging buffers, wired together with Events so that
+// expose.  This driver is that capability for the simulator: on every
+// device of a topology, a panel loop over three streams (copy-in,
+// compute, copy-out) with kPipelineSlots rotating staging buffers, wired
+// together with Events so that
 //
 //   h2d[k]     waits  compute_done[k - slots]   (input slot free again)
 //   compute[k] waits  in_ready[k]               (its input landed)
 //   compute[k] waits  out_done[k - slots]       (its output slot drained)
 //   d2h[k]     waits  compute_done[k]           (result ready)
 //
-// With slots = 2 that is classic double buffering: panel k+1's H2D and
+// With two slots that is classic double buffering: panel k+1's H2D and
 // panel k-1's D2H both overlap panel k's kernel.  The non-overlapped
 // reference (`overlap = false`) enqueues the same three stages strictly
-// in order on ONE stream — the serial H2D -> compute -> D2H sequence the
-// overlap bench compares against.
+// in order on ONE stream per device — the serial H2D -> compute -> D2H
+// sequence the overlap bench compares against.  A one-device topology
+// is the single-device pipeline.
 //
-// Determinism: stage callbacks receive (stream, panel, slot) and are
-// invoked in panel order on the caller; only *where* the enqueued ops
-// execute differs between modes.  Under portacheck every Stream degrades
-// to eager, so the whole pipeline collapses to the serial in-order walk
-// the sanitizer's permuted schedules require — results are bitwise
-// identical by construction because each panel's arithmetic never
-// changes, only its overlap with neighbors.
+// Determinism: stage callbacks receive (stream, device, panel, slot) and
+// are invoked in device-major, panel order on the caller; only *where*
+// the enqueued ops execute differs between modes.  Under portacheck
+// every Stream degrades to eager, so the whole pipeline collapses to the
+// serial in-order walk the sanitizer's permuted schedules require —
+// results are bitwise identical by construction because each panel's
+// arithmetic never changes, only its overlap with neighbors.
 #pragma once
 
 #include <algorithm>
@@ -36,10 +38,9 @@
 
 namespace portabench::gpusim {
 
-struct PipelineOptions {
-  std::size_t slots = 2;  ///< rotating staging slots (2 = double buffer)
-  bool overlap = true;    ///< false: one stream, strict H2D->compute->D2H
-};
+/// Rotating staging slots per device (2 = double buffer).  Sharded
+/// drivers allocate this many panel buffers per device.
+inline constexpr std::size_t kPipelineSlots = 2;
 
 struct PipelineStats {
   double wall_s = 0.0;     ///< measured host wall time, enqueue to drain
@@ -47,79 +48,22 @@ struct PipelineStats {
   std::size_t panels = 0;
 };
 
-/// Run `panels` panels through the pipeline on one device.  Each stage
-/// callback is invoked as stage(Stream&, panel, slot) and must enqueue
-/// its work on the given stream (copy_async / launch / enqueue).
-template <class H2D, class Compute, class D2H>
-PipelineStats run_pipeline(DeviceContext& ctx, std::size_t panels,
-                           const PipelineOptions& opt, H2D&& h2d, Compute&& compute,
-                           D2H&& d2h) {
-  PB_EXPECTS(opt.slots >= 1);
-  PipelineStats stats;
-  stats.panels = panels;
-  if (panels == 0) return stats;
-
-  Timer wall;
-  if (!opt.overlap) {
-    // Reference sequence: one in-order queue, no events needed — the
-    // queue itself serializes h2d -> compute -> d2h per panel.
-    Stream s(ctx, StreamMode::kAsync);
-    for (std::size_t k = 0; k < panels; ++k) {
-      const std::size_t slot = k % opt.slots;
-      h2d(s, k, slot);
-      compute(s, k, slot);
-      d2h(s, k, slot);
-    }
-    stats.modeled_s = s.synchronize();
-    stats.wall_s = wall.seconds();
-    return stats;
-  }
-
-  Stream in(ctx, StreamMode::kAsync);
-  Stream comp(ctx, StreamMode::kAsync);
-  Stream out(ctx, StreamMode::kAsync);
-  std::vector<Event> in_ready(panels);
-  std::vector<Event> compute_done(panels);
-  std::vector<Event> out_done(panels);
-
-  for (std::size_t k = 0; k < panels; ++k) {
-    const std::size_t slot = k % opt.slots;
-    if (k >= opt.slots) in.wait(compute_done[k - opt.slots]);
-    h2d(in, k, slot);
-    in.record(in_ready[k]);
-
-    comp.wait(in_ready[k]);
-    if (k >= opt.slots) comp.wait(out_done[k - opt.slots]);
-    compute(comp, k, slot);
-    comp.record(compute_done[k]);
-
-    out.wait(compute_done[k]);
-    d2h(out, k, slot);
-    out.record(out_done[k]);
-  }
-  const double t_in = in.synchronize();
-  const double t_comp = comp.synchronize();
-  const double t_out = out.synchronize();
-  stats.modeled_s = std::max(t_in, std::max(t_comp, t_out));
-  stats.wall_s = wall.seconds();
-  return stats;
-}
-
-/// Multi-device pipeline: run a per-device panel loop on every device of
-/// the topology concurrently.  Stage callbacks receive (stream, device,
-/// panel, slot); `panels_per_device[d]` panels run on device d.  All
-/// devices' queues are filled from the caller in device-major program
-/// order (cheap — enqueue never blocks in async mode) and progress
-/// concurrently on their own stream workers; the wall clock spans
-/// enqueue-to-drain across the whole node.  Under portacheck the streams
-/// are eager and the same loop IS the serial schedule, giving the fixed
-/// shard combination order the bitwise-replay contract requires.
+/// Run a per-device panel loop on every device of the topology
+/// concurrently.  Stage callbacks are invoked as stage(Stream&, device,
+/// panel, slot) and must enqueue their work on the given stream
+/// (copy_async / launch / enqueue); `panels_per_device[d]` panels run on
+/// device d.  All devices' queues are filled from the caller in
+/// device-major program order (cheap — enqueue never blocks in async
+/// mode) and progress concurrently on their own stream workers; the wall
+/// clock spans enqueue-to-drain across the whole node.  Under portacheck
+/// the streams are eager and the same loop IS the serial schedule,
+/// giving the fixed shard combination order the bitwise-replay contract
+/// requires.  `overlap = false` runs each device's stages strictly in
+/// order on one stream.
 template <class H2D, class Compute, class D2H>
 PipelineStats run_sharded_pipeline(DeviceTopology& topo,
                                    const std::vector<std::size_t>& panels_per_device,
-                                   const PipelineOptions& opt, H2D&& h2d,
-                                   Compute&& compute, D2H&& d2h) {
-  PB_EXPECTS(opt.slots >= 1);
+                                   bool overlap, H2D&& h2d, Compute&& compute, D2H&& d2h) {
   PB_EXPECTS(panels_per_device.size() == topo.devices());
   PipelineStats stats;
 
@@ -131,7 +75,7 @@ PipelineStats run_sharded_pipeline(DeviceTopology& topo,
   for (std::size_t d = 0; d < topo.devices(); ++d) {
     DeviceContext& ctx = topo.context(d);
     ds[d].in = std::make_unique<Stream>(ctx, StreamMode::kAsync);
-    if (opt.overlap) {
+    if (overlap) {
       ds[d].comp = std::make_unique<Stream>(ctx, StreamMode::kAsync);
       ds[d].out = std::make_unique<Stream>(ctx, StreamMode::kAsync);
       ds[d].in_ready.resize(panels_per_device[d]);
@@ -140,14 +84,15 @@ PipelineStats run_sharded_pipeline(DeviceTopology& topo,
     }
   }
 
+  constexpr std::size_t slots = kPipelineSlots;
   Timer wall;
   for (std::size_t d = 0; d < topo.devices(); ++d) {
     DeviceStreams& s = ds[d];
     const std::size_t panels = panels_per_device[d];
     stats.panels += panels;
-    if (!opt.overlap) {
+    if (!overlap) {
       for (std::size_t k = 0; k < panels; ++k) {
-        const std::size_t slot = k % opt.slots;
+        const std::size_t slot = k % slots;
         h2d(*s.in, d, k, slot);
         compute(*s.in, d, k, slot);
         d2h(*s.in, d, k, slot);
@@ -155,13 +100,13 @@ PipelineStats run_sharded_pipeline(DeviceTopology& topo,
       continue;
     }
     for (std::size_t k = 0; k < panels; ++k) {
-      const std::size_t slot = k % opt.slots;
-      if (k >= opt.slots) s.in->wait(s.compute_done[k - opt.slots]);
+      const std::size_t slot = k % slots;
+      if (k >= slots) s.in->wait(s.compute_done[k - slots]);
       h2d(*s.in, d, k, slot);
       s.in->record(s.in_ready[k]);
 
       s.comp->wait(s.in_ready[k]);
-      if (k >= opt.slots) s.comp->wait(s.out_done[k - opt.slots]);
+      if (k >= slots) s.comp->wait(s.out_done[k - slots]);
       compute(*s.comp, d, k, slot);
       s.comp->record(s.compute_done[k]);
 

@@ -15,10 +15,12 @@ TopologyConfig TopologyConfig::wombat_node(std::size_t devices) {
   cfg.device_spec = GpuSpec::a100();
   cfg.devices = devices;
   cfg.host = simrt::CpuTopology{80, 1};  // Ampere Altra: one domain
-  cfg.h2d_local = LinkModel{16.0, 5.0};  // PCIe4 x16, no NUMA asymmetry
+  // PCIe 4.0 x16 sustained (of 32 GB/s theoretical), no NUMA asymmetry;
+  // peer traffic bounces through the same PCIe links.
+  cfg.h2d_local = LinkModel{26.0, 6.0};
   cfg.h2d_remote = cfg.h2d_local;
-  cfg.d2d_near = LinkModel{16.0, 5.0};   // peer traffic bounces through PCIe
-  cfg.d2d_far = cfg.d2d_near;
+  cfg.d2d_near = cfg.h2d_local;
+  cfg.d2d_far = cfg.h2d_local;
   return cfg;
 }
 
@@ -38,10 +40,8 @@ DeviceTopology::DeviceTopology(TopologyConfig cfg) : cfg_(std::move(cfg)) {
     if (degenerate) continue;  // leave engine() on LaunchEngine::shared()
     simrt::Placement placement;
     if (cfg_.pin_workers) {
-      // numa_domain_of() divides by the final device count; contexts_ is
-      // still growing here, so compute the domain from cfg_ directly.
-      const std::size_t domain = d * cfg_.host.numa_domains / cfg_.devices;
-      placement = simrt::domain_placement(cfg_.host, workers_per_device_, domain);
+      placement = simrt::domain_placement(cfg_.host, workers_per_device_,
+                                          cfg_.numa_domain_of(d));
     }
     contexts_.back()->set_engine(
         std::make_shared<LaunchEngine>(workers_per_device_, std::move(placement)));

@@ -30,17 +30,22 @@
 namespace portabench::gpusim {
 
 /// One directed link's modeled characteristics (latency + bandwidth).
+/// Every link is duplex: H2D and D2H ride separate directions.
 struct LinkModel {
   double bw_gbs = 16.0;    ///< GB/s (1e9 bytes per second)
   double latency_us = 5.0; ///< per-transfer setup latency
 
-  [[nodiscard]] double seconds(std::size_t bytes) const noexcept {
-    return latency_us * 1e-6 + static_cast<double>(bytes) / (bw_gbs * 1e9);
+  /// Seconds to move `bytes` one way (fractional byte counts allowed for
+  /// the analytical model's averaged panels).
+  [[nodiscard]] double seconds(double bytes) const noexcept {
+    return latency_us * 1e-6 + bytes / (bw_gbs * 1e9);
   }
 };
 
 /// Shape of the node: how many devices, which host CPU feeds them, and
-/// the modeled link characteristics between the pieces.
+/// the modeled link characteristics between the pieces.  This is the one
+/// node description: the simulator (DeviceTopology) and the analytical
+/// model (perfmodel) both read links and the domain map from here.
 struct TopologyConfig {
   GpuSpec device_spec = GpuSpec::mi250x_gcd();
   std::size_t devices = 1;
@@ -73,19 +78,41 @@ struct TopologyConfig {
   /// measuring overlap turn this on; tests leave it off.
   bool throttle_links = false;
 
+  /// NUMA domain that feeds a device: `device * host.numa_domains /
+  /// devices` (Crusher: GCD g -> domain g/2).
+  [[nodiscard]] std::size_t numa_domain_of(std::size_t device) const {
+    PB_EXPECTS(device < devices);
+    return device * host.numa_domains / devices;
+  }
+  /// MCM package of a device (two GCDs per MI250X package).
+  [[nodiscard]] std::size_t package_of(std::size_t device) const {
+    PB_EXPECTS(device < devices);
+    return device / 2;
+  }
+  /// Link a host-to-device transfer rides, given the staging buffer's
+  /// home domain: local when it matches the device's feeding domain.
+  [[nodiscard]] const LinkModel& h2d_link(std::size_t device, std::size_t src_domain) const {
+    return src_domain == numa_domain_of(device) ? h2d_local : h2d_remote;
+  }
+  /// Device-to-device link: wide in-package fabric for an MCM pair,
+  /// narrow cross-package hop otherwise.
+  [[nodiscard]] const LinkModel& d2d_link(std::size_t src, std::size_t dst) const {
+    return package_of(src) == package_of(dst) ? d2d_near : d2d_far;
+  }
+
   /// Crusher node: `devices` MI250X GCDs (8 = full node) behind a
   /// 64-core 4-NUMA EPYC 7A53.
   [[nodiscard]] static TopologyConfig crusher_node(std::size_t devices = 8);
   /// Wombat-style pairing: 2 A100s behind a single-domain host over
-  /// PCIe4-class links (no near/far D2D asymmetry worth modeling).
+  /// PCIe 4.0 x16 links (no near/far D2D asymmetry worth modeling).
   [[nodiscard]] static TopologyConfig wombat_node(std::size_t devices = 2);
 };
 
 /// N simulated devices with per-device contexts, engines and links.
 ///
-/// Device d is fed from NUMA domain `d * host.numa_domains / devices`
-/// (Crusher: GCD g -> domain g/2) and its engine's workers are pinned
-/// there when cfg.pin_workers.  The degenerate single-device topology
+/// Device d is fed from NUMA domain config().numa_domain_of(d) and its
+/// engine's workers are pinned there when cfg.pin_workers; links come
+/// from config().h2d_link / d2d_link.  The degenerate single-device topology
 /// with default worker count and no pinning installs *no* private
 /// engine, so context(0) launches through LaunchEngine::shared() —
 /// bit-for-bit and engine-for-engine today's single-device behavior.
@@ -109,40 +136,9 @@ class DeviceTopology {
     return context(device).engine();
   }
 
-  /// NUMA domain that feeds a device (Crusher: GCD g -> domain g/2).
+  /// NUMA domain that feeds a device (config().numa_domain_of).
   [[nodiscard]] std::size_t numa_domain_of(std::size_t device) const {
-    PB_EXPECTS(device < contexts_.size());
-    return device * cfg_.host.numa_domains / contexts_.size();
-  }
-  /// MCM package of a device (two GCDs per MI250X package).
-  [[nodiscard]] std::size_t package_of(std::size_t device) const {
-    PB_EXPECTS(device < contexts_.size());
-    return device / 2;
-  }
-
-  /// Link a host-to-device transfer rides, given the staging buffer's
-  /// home domain: local when it matches the device's feeding domain.
-  [[nodiscard]] const LinkModel& h2d_link(std::size_t device, std::size_t src_domain) const {
-    return src_domain == numa_domain_of(device) ? cfg_.h2d_local : cfg_.h2d_remote;
-  }
-  /// Device-to-device link: wide in-package fabric for an MCM pair,
-  /// narrow cross-package hop otherwise.
-  [[nodiscard]] const LinkModel& d2d_link(std::size_t src, std::size_t dst) const {
-    return package_of(src) == package_of(dst) ? cfg_.d2d_near : cfg_.d2d_far;
-  }
-
-  [[nodiscard]] double h2d_seconds(std::size_t device, std::size_t bytes,
-                                   std::size_t src_domain) const {
-    return h2d_link(device, src_domain).seconds(bytes);
-  }
-  [[nodiscard]] double d2h_seconds(std::size_t device, std::size_t bytes,
-                                   std::size_t dst_domain) const {
-    // Same fabric both directions (the links are duplex); asymmetric
-    // configs can diverge h2d_*/d2h_* later without changing callers.
-    return h2d_link(device, dst_domain).seconds(bytes);
-  }
-  [[nodiscard]] double d2d_seconds(std::size_t src, std::size_t dst, std::size_t bytes) const {
-    return d2d_link(src, dst).seconds(bytes);
+    return cfg_.numa_domain_of(device);
   }
 
  private:

@@ -33,17 +33,12 @@ namespace portabench::multigpu {
 
 struct GemmShardOptions {
   std::size_t panel_rows = 0;  ///< 0: 2 * tile.mc
-  std::size_t slots = 2;
   bool overlap = true;
   /// Stage host panels from each device's own NUMA domain (the pinned
   /// placement makes this the natural home); false models naive staging
   /// where everything lives in domain 0 and remote devices pay the
   /// cross-socket H2D link.
   bool numa_aware_staging = true;
-  /// Modeled kernel seconds per full panel (0: transfers-only modeled
-  /// makespan).  The overlap bench feeds the perfmodel GEMM time here so
-  /// the modeled and measured pipelines describe the same schedule.
-  double modeled_panel_kernel_s = 0.0;
   /// Tile schedule per device; index d used for device d (empty: default
   /// TileConfig for every device).  MC is pure work partitioning —
   /// per-device tiles cannot break the bitwise contract (KC is frozen).
@@ -87,7 +82,7 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
   for (std::size_t d = 0; d < topo.devices(); ++d) {
     if (plan.panels_of(d) == 0) continue;
     gpusim::DeviceContext& ctx = topo.context(d);
-    for (std::size_t s = 0; s < opt.slots; ++s) {
+    for (std::size_t s = 0; s < gpusim::kPipelineSlots; ++s) {
       dev[d].a_slots.emplace_back(ctx, panel_rows * k);
       dev[d].c_slots.emplace_back(ctx, panel_rows * n);
     }
@@ -120,7 +115,8 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
     gpusim::LaunchEngine* engine = &topo.engine(d);
     gpusim::DeviceContext* ctx = &topo.context(d);
     const std::size_t rows = p.rows();
-    s.enqueue(opt.modeled_panel_kernel_s, [=] {
+    // Kernels cost no modeled time: the makespan models the transfers.
+    s.enqueue(0.0, [=] {
       // One MC row block per batch item: per-element accumulation order
       // is KC-major regardless of the row grouping, so this forked
       // schedule matches the serial oracle bit for bit.
@@ -149,11 +145,8 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
                                dev[d].c_slots[slot], 0, domain_of(d));
   };
 
-  gpusim::PipelineOptions popt;
-  popt.slots = opt.slots;
-  popt.overlap = opt.overlap;
-  return gpusim::run_sharded_pipeline(topo, plan.panels_per_device(), popt, h2d, compute,
-                                      d2h);
+  return gpusim::run_sharded_pipeline(topo, plan.panels_per_device(), opt.overlap, h2d,
+                                      compute, d2h);
 }
 
 /// Single-device serial oracle for gemm_sharded: the whole matrix through

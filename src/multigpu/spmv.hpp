@@ -28,12 +28,10 @@ namespace portabench::multigpu {
 
 struct SpmvShardOptions {
   std::size_t panel_rows = 2048;
-  std::size_t slots = 2;
   bool overlap = true;
   bool numa_aware_staging = true;
   /// Rows per batch item inside a panel (device-side parallelism grain).
   std::size_t rows_per_block = 256;
-  double modeled_panel_kernel_s = 0.0;
 };
 
 /// y = A * x, row blocks sharded across every device of `topo`.
@@ -64,7 +62,7 @@ gpusim::PipelineStats spmv_sharded(gpusim::DeviceTopology& topo,
   for (std::size_t d = 0; d < topo.devices(); ++d) {
     if (plan.panels_of(d) == 0) continue;
     gpusim::DeviceContext& ctx = topo.context(d);
-    for (std::size_t s = 0; s < opt.slots; ++s) {
+    for (std::size_t s = 0; s < gpusim::kPipelineSlots; ++s) {
       dev[d].rp_slots.emplace_back(ctx, opt.panel_rows + 1);
       dev[d].ci_slots.emplace_back(ctx, std::max<std::size_t>(1, max_panel_nnz));
       dev[d].val_slots.emplace_back(ctx, std::max<std::size_t>(1, max_panel_nnz));
@@ -110,7 +108,7 @@ gpusim::PipelineStats spmv_sharded(gpusim::DeviceTopology& topo,
     T* yd = dev[d].y_slots[slot].data();
     gpusim::LaunchEngine* engine = &topo.engine(d);
     gpusim::DeviceContext* ctx = &topo.context(d);
-    s.enqueue(opt.modeled_panel_kernel_s, [=] {
+    s.enqueue(0.0, [=] {
       const std::size_t blocks = (rows + rpb - 1) / rpb;
       ctx->note_launch(gpusim::Dim3{blocks, 1, 1},
                        gpusim::Dim3{ctx->spec().warp_size, 1, 1});
@@ -136,11 +134,8 @@ gpusim::PipelineStats spmv_sharded(gpusim::DeviceTopology& topo,
                                dev[d].y_slots[slot], 0, domain_of(d));
   };
 
-  gpusim::PipelineOptions popt;
-  popt.slots = opt.slots;
-  popt.overlap = opt.overlap;
-  return gpusim::run_sharded_pipeline(topo, plan.panels_per_device(), popt, h2d, compute,
-                                      d2h);
+  return gpusim::run_sharded_pipeline(topo, plan.panels_per_device(), opt.overlap, h2d,
+                                      compute, d2h);
 }
 
 }  // namespace portabench::multigpu

@@ -40,7 +40,6 @@ namespace portabench::multigpu {
 struct StencilShardOptions {
   std::size_t iterations = 1;
   bool numa_aware_staging = true;
-  double modeled_sweep_s = 0.0;  ///< modeled seconds per device sweep
 };
 
 /// Host oracle: `iterations` Jacobi sweeps over two full-grid buffers
@@ -151,7 +150,7 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
       const std::size_t gstart = s.gstart;
       gpusim::LaunchEngine* engine = &topo.engine(d);
       gpusim::DeviceContext* ctx = &topo.context(d);
-      s.comp->enqueue(opt.modeled_sweep_s, [=] {
+      s.comp->enqueue(0.0, [=] {
         if (nrows == 0) return;
         ctx->note_launch(gpusim::Dim3{nrows, 1, 1}, gpusim::Dim3{cols, 1, 1});
         gpusim::run_batch(*engine, nrows, nrows * cols,

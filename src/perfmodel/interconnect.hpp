@@ -1,37 +1,22 @@
-// Host<->device interconnect model and end-to-end GEMM timing.
+// End-to-end GEMM timing over a host<->device link.
 //
 // The paper's protocol measures kernel time only — the warm-up exclusion
 // "also discards initial communication (threads and GPUs)" (Section IV).
 // A downstream user porting this methodology to a real workflow needs the
-// transfers back: this model supplies the link characteristics of both
-// systems (PCIe4 on Wombat, Infinity Fabric on Crusher) and composes them
-// with the kernel model, serially or overlapped (double buffering), which
-// the transfer-overlap ablation quantifies.
+// transfers back: this model composes a node's host link (a
+// gpusim::LinkModel from the TopologyConfig presets — PCIe 4.0 on
+// Wombat, Infinity Fabric on Crusher) with the kernel model, serially or
+// overlapped (double buffering), which the transfer-overlap ablation
+// quantifies.
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "common/precision.hpp"
+#include "gpusim/topology.hpp"
 #include "machine_model.hpp"
 
 namespace portabench::perfmodel {
-
-/// A host<->device link.
-struct LinkSpec {
-  std::string name;
-  double bw_gbs = 16.0;      ///< sustained one-direction bandwidth
-  double latency_us = 5.0;   ///< per-transfer setup cost
-  bool duplex = true;        ///< H2D and D2H can proceed concurrently
-
-  /// Seconds to move `bytes` one way.
-  [[nodiscard]] double transfer_seconds(double bytes) const {
-    return latency_us * 1.0e-6 + bytes / (bw_gbs * 1.0e9);
-  }
-
-  static LinkSpec pcie4_x16();        ///< Wombat: A100 over PCIe 4.0 x16
-  static LinkSpec infinity_fabric();  ///< Crusher: CPU<->GCD Infinity Fabric
-};
 
 /// End-to-end timing decomposition for one device GEMM including data
 /// movement (A and B in, C out).
@@ -44,11 +29,10 @@ struct EndToEndTime {
 };
 
 /// Compose link + kernel model for a batch of `batches` independent n^3
-/// GEMMs (batches >= 1).  Overlap assumes double buffering: chunk i+1's
-/// H2D overlaps chunk i's kernel, and D2H overlaps the next kernel when
-/// the link is duplex.
-[[nodiscard]] EndToEndTime end_to_end_gemm(const GpuMachineModel& model, const LinkSpec& link,
-                                           Precision prec, std::size_t n,
-                                           std::size_t batches = 1);
+/// GEMMs (batches >= 1).  Overlap assumes double buffering over a duplex
+/// link: chunk i+1's H2D and chunk i-1's D2H overlap chunk i's kernel.
+[[nodiscard]] EndToEndTime end_to_end_gemm(const GpuMachineModel& model,
+                                           const gpusim::LinkModel& link, Precision prec,
+                                           std::size_t n, std::size_t batches = 1);
 
 }  // namespace portabench::perfmodel

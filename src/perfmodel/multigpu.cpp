@@ -3,17 +3,19 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "multigpu/shard.hpp"
 
 namespace portabench::perfmodel {
 
 namespace {
 
-/// Effective per-device link bandwidth when `devices` stage concurrently:
-/// each device has its own link, but all links drain the same host
-/// memory, capping the aggregate at host_bw_gbs.
-double contended_bw(const LinkSpec& link, std::size_t devices, double host_bw_gbs) {
+/// `link` as one of `devices` concurrently staging devices sees it: each
+/// device has its own link, but all links drain the same host memory,
+/// capping the aggregate at host_bw_gbs.
+gpusim::LinkModel contended(const gpusim::LinkModel& link, std::size_t devices,
+                            double host_bw_gbs) {
   const double aggregate = std::min(link.bw_gbs * static_cast<double>(devices), host_bw_gbs);
-  return aggregate / static_cast<double>(devices);
+  return {aggregate / static_cast<double>(devices), link.latency_us};
 }
 
 MultiGpuPoint make_point(std::size_t devices, double kernel_s, double transfer_s,
@@ -31,7 +33,7 @@ MultiGpuPoint make_point(std::size_t devices, double kernel_s, double transfer_s
 }  // namespace
 
 std::vector<MultiGpuPoint> strong_scaling_gemm(const GpuMachineModel& model,
-                                               const LinkSpec& link, Precision prec,
+                                               const gpusim::LinkModel& link, Precision prec,
                                                std::size_t n, std::size_t max_devices,
                                                double host_bw_gbs) {
   PB_EXPECTS(n > 0 && max_devices >= 1);
@@ -46,9 +48,7 @@ std::vector<MultiGpuPoint> strong_scaling_gemm(const GpuMachineModel& model,
     const double rows = nn / static_cast<double>(g);
     const double bytes_in = rows * nn * in_b + nn * nn * in_b;  // A block + full B
     const double bytes_out = rows * nn * out_b;
-    const double bw = contended_bw(link, g, host_bw_gbs);
-    const double transfer =
-        link.latency_us * 1.0e-6 + (bytes_in + bytes_out) / (bw * 1.0e9);
+    const double transfer = contended(link, g, host_bw_gbs).seconds(bytes_in + bytes_out);
 
     // Per-device kernel: an (n/G) x n x n GEMM.  Approximate its time by
     // scaling the full kernel's FLOP share while keeping the full kernel's
@@ -63,7 +63,7 @@ std::vector<MultiGpuPoint> strong_scaling_gemm(const GpuMachineModel& model,
 }
 
 std::vector<MultiGpuPoint> weak_scaling_gemm(const GpuMachineModel& model,
-                                             const LinkSpec& link, Precision prec,
+                                             const gpusim::LinkModel& link, Precision prec,
                                              std::size_t n, std::size_t max_devices,
                                              double host_bw_gbs) {
   PB_EXPECTS(n > 0 && max_devices >= 1);
@@ -75,9 +75,7 @@ std::vector<MultiGpuPoint> weak_scaling_gemm(const GpuMachineModel& model,
 
   double base_total = 0.0;
   for (std::size_t g = 1; g <= max_devices; ++g) {
-    const double bw = contended_bw(link, g, host_bw_gbs);
-    const double transfer =
-        link.latency_us * 1.0e-6 + (bytes_in + bytes_out) / (bw * 1.0e9);
+    const double transfer = contended(link, g, host_bw_gbs).seconds(bytes_in + bytes_out);
     if (g == 1) base_total = kernel + transfer;
     // Weak scaling: throughput metric — speedup counts problems solved.
     MultiGpuPoint p = make_point(g, kernel, transfer, base_total);
@@ -88,31 +86,12 @@ std::vector<MultiGpuPoint> weak_scaling_gemm(const GpuMachineModel& model,
   return out;
 }
 
-NodeShape NodeShape::crusher(std::size_t devices) {
-  NodeShape s;
-  s.devices = devices;
-  s.numa_domains = 4;
-  return s;  // link terms default to the Crusher numbers
-}
-
-NodeShape NodeShape::wombat(std::size_t devices) {
-  NodeShape s;
-  s.devices = devices;
-  s.numa_domains = 1;
-  // PCIe4 x16-class links both ways; no near/far D2D asymmetry.
-  s.h2d_local = {16.0, 5.0};
-  s.h2d_remote = {16.0, 5.0};
-  s.d2d_near = {16.0, 5.0};
-  s.d2d_far = {16.0, 5.0};
-  s.host_bw_gbs = 150.0;
-  return s;
-}
-
 std::vector<ShardedPipelinePoint> sharded_pipeline_gemm(const GpuMachineModel& model,
-                                                        const NodeShape& shape,
+                                                        const gpusim::TopologyConfig& node,
                                                         Precision prec,
                                                         const ShardedGemmParams& params,
-                                                        std::size_t max_devices) {
+                                                        std::size_t max_devices,
+                                                        double host_bw_gbs) {
   PB_EXPECTS(params.n > 0 && params.panel_rows > 0 && max_devices >= 1);
   const double nn = static_cast<double>(params.n);
   const double in_b = static_cast<double>(input_bytes(prec));
@@ -124,32 +103,33 @@ std::vector<ShardedPipelinePoint> sharded_pipeline_gemm(const GpuMachineModel& m
   std::vector<ShardedPipelinePoint> out;
   double base_total = 0.0;
   for (std::size_t g = 1; g <= max_devices; ++g) {
-    NodeShape node = shape;
-    node.devices = g;  // the domain map follows the swept device count
+    gpusim::TopologyConfig shape = node;
+    shape.devices = g;  // the domain map follows the swept device count
+    // The driver's deal: whole panels, contiguous runs per device.
+    const multigpu::ShardPlan plan = multigpu::ShardPlan::rows(params.n, params.panel_rows, g);
+    const auto staging_domain = [&](std::size_t d) {
+      return params.numa_aware_staging ? shape.numa_domain_of(d) : std::size_t{0};
+    };
 
     ShardedPipelinePoint p;
     p.devices = g;
-    // Host-link contention: every device stages concurrently during the
-    // fill, so scale each link's bandwidth by the aggregate ceiling.
+    // Host-link contention: every staging device loads its link during
+    // the fill, so scale each link's bandwidth by the aggregate ceiling.
     double aggregate = 0.0;
     for (std::size_t d = 0; d < g; ++d) {
-      const std::size_t dom = params.numa_aware_staging ? node.numa_domain_of(d) : 0;
-      aggregate += node.h2d(d, dom).bw_gbs;
+      if (plan.panels_of(d) != 0) aggregate += shape.h2d_link(d, staging_domain(d)).bw_gbs;
     }
-    const double share = aggregate > node.host_bw_gbs ? node.host_bw_gbs / aggregate : 1.0;
+    const double share = aggregate > host_bw_gbs ? host_bw_gbs / aggregate : 1.0;
 
     double makespan = 0.0;
     for (std::size_t d = 0; d < g; ++d) {
-      // Same near-even contiguous deal the sharded driver uses.
-      const std::size_t lo = d * params.n / g;
-      const std::size_t hi = (d + 1) * params.n / g;
-      const std::size_t rows = hi - lo;
-      if (rows == 0) continue;
-      const std::size_t panels = (rows + params.panel_rows - 1) / params.panel_rows;
+      const std::size_t panels = plan.panels_of(d);
+      if (panels == 0) continue;
+      const std::size_t rows = plan.panel(d, panels - 1).end - plan.panel(d, 0).begin;
 
-      const std::size_t dom = params.numa_aware_staging ? node.numa_domain_of(d) : 0;
-      if (dom != node.numa_domain_of(d)) ++p.remote_devices;
-      LinkTerm link = node.h2d(d, dom);
+      const std::size_t dom = staging_domain(d);
+      if (dom != shape.numa_domain_of(d)) ++p.remote_devices;
+      gpusim::LinkModel link = shape.h2d_link(d, dom);
       link.bw_gbs *= share;
 
       const double rows_per_panel = static_cast<double>(rows) / static_cast<double>(panels);

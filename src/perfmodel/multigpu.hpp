@@ -6,13 +6,14 @@
 // across G devices — with the two effects that dominate in practice:
 // host-link contention (all devices share host memory bandwidth when
 // staging operands) and the per-device efficiency loss when the partition
-// shrinks the per-device problem.
+// shrinks the per-device problem.  Links and the NUMA domain map come
+// from gpusim::TopologyConfig, the node description the simulator runs.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "interconnect.hpp"
+#include "gpusim/topology.hpp"
 #include "machine_model.hpp"
 
 namespace portabench::perfmodel {
@@ -28,61 +29,20 @@ struct MultiGpuPoint {
 
 /// Strong-scaling sweep: one n x n GEMM row-partitioned across
 /// 1..max_devices devices.  Each device computes an m/G x n block
-/// (reading its A rows and all of B), links share `host_bw_share` of the
-/// aggregate host bandwidth when more than one device stages at once.
+/// (reading its A rows and all of B) over its own `link`; the links
+/// share `host_bw_gbs` of aggregate host bandwidth when more than one
+/// device stages at once.
 [[nodiscard]] std::vector<MultiGpuPoint> strong_scaling_gemm(
-    const GpuMachineModel& model, const LinkSpec& link, Precision prec, std::size_t n,
-    std::size_t max_devices, double host_bw_gbs = 170.0);
+    const GpuMachineModel& model, const gpusim::LinkModel& link, Precision prec,
+    std::size_t n, std::size_t max_devices, double host_bw_gbs = 170.0);
 
 /// Weak-scaling sweep: every device gets its own full n x n GEMM
 /// (batched independent problems), contending only for the host link.
 [[nodiscard]] std::vector<MultiGpuPoint> weak_scaling_gemm(
-    const GpuMachineModel& model, const LinkSpec& link, Precision prec, std::size_t n,
-    std::size_t max_devices, double host_bw_gbs = 170.0);
+    const GpuMachineModel& model, const gpusim::LinkModel& link, Precision prec,
+    std::size_t n, std::size_t max_devices, double host_bw_gbs = 170.0);
 
 // --- NUMA-aware sharded-pipeline model -------------------------------
-//
-// Mirrors gpusim::DeviceTopology's link shape (perfmodel stays a pure
-// analytical layer — it never links gpusim) so the multi-GCD benches can
-// compare the measured sharded pipeline against a predicted curve built
-// from the same per-link terms the simulator charges.
-
-/// One directed link term: latency + bandwidth (gpusim::LinkModel's shape).
-struct LinkTerm {
-  double bw_gbs = 16.0;
-  double latency_us = 5.0;
-
-  [[nodiscard]] double seconds(double bytes) const noexcept {
-    return latency_us * 1.0e-6 + bytes / (bw_gbs * 1.0e9);
-  }
-};
-
-/// Node shape for the sharded-pipeline model: device count, host NUMA
-/// domains, and the four link classes of the topology (NUMA-local vs
-/// remote H2D, near vs far D2D).  Defaults are the Crusher terms.
-struct NodeShape {
-  std::size_t devices = 1;
-  std::size_t numa_domains = 1;
-  LinkTerm h2d_local{36.0, 5.0};
-  LinkTerm h2d_remote{12.0, 8.0};
-  LinkTerm d2d_near{200.0, 2.0};
-  LinkTerm d2d_far{50.0, 3.0};
-  double host_bw_gbs = 170.0;  ///< aggregate host-memory ceiling
-
-  /// NUMA domain that feeds a device (Crusher: GCD g -> domain g/2).
-  [[nodiscard]] std::size_t numa_domain_of(std::size_t device) const noexcept {
-    return devices == 0 ? 0 : device * numa_domains / devices;
-  }
-  /// H2D link a device sees given the staging buffer's home domain.
-  [[nodiscard]] const LinkTerm& h2d(std::size_t device, std::size_t staging_domain) const noexcept {
-    return staging_domain == numa_domain_of(device) ? h2d_local : h2d_remote;
-  }
-
-  /// Crusher node: `devices` MI250X GCDs behind a 4-NUMA EPYC 7A53.
-  [[nodiscard]] static NodeShape crusher(std::size_t devices = 8);
-  /// Wombat-style node: A100s behind a single-domain host over PCIe4.
-  [[nodiscard]] static NodeShape wombat(std::size_t devices = 2);
-};
 
 /// Knobs of the modeled sharded GEMM pipeline, matching
 /// multigpu::gemm_sharded: B broadcast once per device, then per-panel
@@ -106,15 +66,16 @@ struct ShardedPipelinePoint {
   std::size_t remote_devices = 0;  ///< devices staging over the remote link
 };
 
-/// Sweep the sharded pipeline over 1..max_devices devices on `shape`
-/// (shape.devices caps nothing here; each sweep point deals the panels
-/// across `g` devices fed per shape's domain map).  Host-link contention
-/// caps the aggregate H2D draw at shape.host_bw_gbs, NUMA-remote staging
-/// rides the narrow link, and overlap hides per-panel transfers behind
-/// the neighbor panel's kernel the way the double-buffered driver does.
+/// Sweep the sharded pipeline over 1..max_devices devices of `node`
+/// (node.devices caps nothing here: each sweep point deals the same
+/// multigpu::ShardPlan panels gemm_sharded runs across `g` devices, fed
+/// per node's domain map and links).  Host-link contention caps the
+/// aggregate H2D draw at host_bw_gbs, NUMA-remote staging rides the
+/// remote link, and overlap hides per-panel transfers behind the
+/// neighbor panel's kernel the way the double-buffered driver does.
 [[nodiscard]] std::vector<ShardedPipelinePoint> sharded_pipeline_gemm(
-    const GpuMachineModel& model, const NodeShape& shape, Precision prec,
-    const ShardedGemmParams& params, std::size_t max_devices);
+    const GpuMachineModel& model, const gpusim::TopologyConfig& node, Precision prec,
+    const ShardedGemmParams& params, std::size_t max_devices, double host_bw_gbs = 170.0);
 
 /// True when two curves rank their points identically (the bench gate:
 /// the predicted multi-GCD curve must match the measured curve's shape,

@@ -289,13 +289,11 @@ void run_spmv_bucket(gpusim::LaunchEngine& engine,
 }  // namespace
 
 ServeEngine::Shard::Shard(const ServeConfig& cfg, gpusim::DeviceContext& shard_ctx,
-                          std::size_t shard_index, std::size_t shard_device)
+                          std::size_t shard_index)
     : queue(cfg.queue_capacity),
       ctx(&shard_ctx),
       index(shard_index),
-      device(shard_device),
-      stream(shard_ctx, cfg.async_streams ? gpusim::StreamMode::kAsync
-                                          : gpusim::StreamMode::kEager),
+      stream(shard_ctx, gpusim::StreamMode::kAsync),
       staging(std::make_unique<Staging>(cfg.batch_jobs)) {
   slots.reserve(cfg.batch_jobs);
   exec_idx.reserve(cfg.batch_jobs);
@@ -314,9 +312,7 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
   topo_ = std::make_unique<gpusim::DeviceTopology>(config_.topology);
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    const std::size_t device = i % topo_->devices();
-    shards_.push_back(
-        std::make_unique<Shard>(config_, topo_->context(device), i, device));
+    shards_.push_back(std::make_unique<Shard>(config_, topo_->context(device_of(i)), i));
   }
 }
 
@@ -491,11 +487,9 @@ void ServeEngine::run_bucket(Shard& shard, std::size_t lo, std::size_t hi) {
         // A bucket is homogeneous in (precision, size_class), so one
         // tuned schedule applies to every job in it.  Tuned configs
         // only move schedule knobs (row grain, SIMD tier), so the
-        // bitwise run_serial contract is unaffected.  The per-GCD space
-        // resolves the shard's device, falling back to the single-
-        // device winner when untuned.
-        const gemm::TileConfig& tile = tune::Tuned::instance().gemm_tile_device(
-            shard.device, proto.precision, size_class(proto.n));
+        // bitwise run_serial contract is unaffected.
+        const gemm::TileConfig& tile =
+            tune::Tuned::instance().gemm_tile(proto.precision, size_class(proto.n));
         switch (proto.precision) {
           case Precision::kDouble:
             run_tiled_bucket(engine, st.gemm_f64, descs, bases, tile);

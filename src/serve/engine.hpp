@@ -75,7 +75,6 @@ struct ServeConfig {
   /// machine if present, else kDefaultBatchJobs.
   std::size_t batch_jobs = 0;
   std::uint32_t max_n = 256;          ///< admission bound on problem size
-  bool async_streams = true;          ///< flush on stream workers (kAsync)
   /// Completion sink; called on the flushing thread, jobs of a batch
   /// delivered in deterministic (bucket, id) order.  Must be thread-safe
   /// across shards.  May be empty.
@@ -83,8 +82,8 @@ struct ServeConfig {
   /// Test hook: jobs selected here are marked kFailed instead of run,
   /// and their batch throws batch_error into the stream error stash.
   std::function<bool(const JobDesc&)> fail_injection;
-  /// Node shape the shards are dealt across: shard i's stream, arena
-  /// batches and tuned tile lookups live on device i % topology.devices.
+  /// Node shape the shards are dealt across: shard i's stream and arena
+  /// batches live on device i % topology.devices.
   /// The default is the degenerate single-device topology (today's
   /// single-engine behavior, bit for bit).
   gpusim::TopologyConfig topology = serve_default_topology();
@@ -157,15 +156,13 @@ class ServeEngine {
   };
 
   struct alignas(kCacheLineBytes) Shard {
-    Shard(const ServeConfig& cfg, gpusim::DeviceContext& ctx, std::size_t index,
-          std::size_t device);
+    Shard(const ServeConfig& cfg, gpusim::DeviceContext& ctx, std::size_t index);
     ~Shard();
 
     simrt::BoundedMpscQueue<JobDesc> queue;
     gpusim::DeviceContext* ctx;  ///< the device this shard runs on
     std::size_t index;           ///< shard's own slot (steal-order anchor)
-    std::size_t device;          ///< topology device index of `ctx`
-    gpusim::Stream stream;
+    gpusim::Stream stream;       ///< kAsync: flushes run on the stream worker
     ShardMutex submit_mutex;  ///< guards stream.enqueue (not thread-safe)
     ShardMutex flush_mutex;   ///< serializes flush bodies (arena + staging)
     std::atomic<std::uint64_t> submitted{0};

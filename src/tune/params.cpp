@@ -76,37 +76,6 @@ std::vector<SpaceDesc> build_registry() {
   }
 
   {
-    // Per-GCD variant of the tile space: the multi-device serve/bench
-    // paths resolve their panel kernels through this space so a node
-    // tune can pick a different MC grain for the sharded regime (smaller
-    // per-device worker pools shift the sweet spot) without disturbing
-    // the single-device "gemm-tile" winners.  GCDs are homogeneous, so
-    // one tuned config serves every device index.  KC stays frozen: MC
-    // is pure work partitioning and cannot change fp accumulation order,
-    // which is what keeps per-device tiles inside the bitwise-replay
-    // contract (tests/multigpu pins it).
-    SpaceDesc s;
-    s.name = "gemm-tile-gcd";
-    s.what = "per-GCD tiled GEMM schedule for sharded multi-device runs";
-    s.params.push_back({"mc",
-                        {16, 32, 64, 128, 256},
-                        static_cast<long>(gemm::tiled::kMC),
-                        false,
-                        "rows per parallel unit on one GCD; pure work partitioning"});
-    s.params.push_back({"kc",
-                        {static_cast<long>(gemm::tiled::kKC)},
-                        static_cast<long>(gemm::tiled::kKC),
-                        true,
-                        "ORDER-AFFECTING: KC grouping changes fp accumulation order"});
-    ParamSpec tier{"tier", {-1}, -1, false,
-                   "micro-kernel SIMD tier; -1 = host dispatch tier"};
-    const int top = static_cast<int>(simrt::simd_dispatch_tier());
-    for (int t = 0; t <= top; ++t) tier.choices.push_back(t);
-    s.params.push_back(std::move(tier));
-    spaces.push_back(std::move(s));
-  }
-
-  {
     SpaceDesc s;
     s.name = "dispatch";
     s.what = "simrt fork-elision grain and dynamic-chunk heuristic";

@@ -33,9 +33,6 @@ void Tuned::free_slots() noexcept {
   for (auto& slot : tile_slots_) {
     delete slot.exchange(nullptr, std::memory_order_acq_rel);
   }
-  for (auto& slot : gcd_tile_slots_) {
-    delete slot.exchange(nullptr, std::memory_order_acq_rel);
-  }
 }
 
 void Tuned::ensure_loaded() {
@@ -85,50 +82,6 @@ const gemm::TileConfig& Tuned::gemm_tile(Precision p, std::uint32_t size_class) 
         if (mc != e->config.end()) cfg.mc = as_size_knob(mc->second, cfg.mc);
         // kc is frozen in the registry; still clamp-read it so a hand-
         // edited cache cannot smuggle in a zero.
-        const auto kc = e->config.find("kc");
-        if (kc != e->config.end()) cfg.kc = as_size_knob(kc->second, cfg.kc);
-        const auto tier = e->config.find("tier");
-        if (tier != e->config.end() && tier->second >= -1 && tier->second <= 3) {
-          cfg.tier = static_cast<int>(tier->second);
-        }
-      }
-    }
-  }
-
-  const auto* fresh = new gemm::TileConfig(cfg);
-  const gemm::TileConfig* expected = nullptr;
-  if (!slot.compare_exchange_strong(expected, fresh, std::memory_order_release,
-                                    std::memory_order_acquire)) {
-    delete fresh;  // another first-use racer won; adopt its slot
-    return *expected;
-  }
-  slot_fills_.fetch_add(1, std::memory_order_relaxed);
-  return *fresh;
-}
-
-const gemm::TileConfig& Tuned::gemm_tile_device(std::size_t /*device*/, Precision p,
-                                                std::uint32_t size_class) noexcept {
-  const std::size_t pi = std::min<std::size_t>(static_cast<std::size_t>(p),
-                                               kNumPrecisions - 1);
-  const std::size_t sc = std::min<std::size_t>(size_class, kSizeClasses - 1);
-  std::atomic<const gemm::TileConfig*>& slot = gcd_tile_slots_[pi * kSizeClasses + sc];
-
-  if (const gemm::TileConfig* hit = slot.load(std::memory_order_acquire)) {
-    return *hit;  // warm path: one load, no allocation
-  }
-
-  // Fallback is the single-device winner (itself defaulting to
-  // TileConfig{}); a gemm-tile-gcd cache entry overlays it.
-  gemm::TileConfig cfg = gemm_tile(p, size_class);
-  ensure_loaded();
-  {
-    std::lock_guard<TuneMutex> lock(mutex_);
-    if (!disabled_) {
-      const CacheEntry* e =
-          cache_.find("gemm-tile-gcd", name(p), size_class, fingerprint_);
-      if (e != nullptr) {
-        const auto mc = e->config.find("mc");
-        if (mc != e->config.end()) cfg.mc = as_size_knob(mc->second, cfg.mc);
         const auto kc = e->config.find("kc");
         if (kc != e->config.end()) cfg.kc = as_size_knob(kc->second, cfg.kc);
         const auto tier = e->config.find("tier");

@@ -51,15 +51,6 @@ class Tuned {
   [[nodiscard]] const gemm::TileConfig& gemm_tile(Precision p,
                                                   std::uint32_t size_class) noexcept;
 
-  /// Per-GCD tiled-GEMM schedule for sharded multi-device runs: consults
-  /// the "gemm-tile-gcd" space, falling back to the single-device
-  /// gemm_tile() winner when untuned.  GCDs are homogeneous, so one
-  /// resolved config serves every device index; `device` is accepted for
-  /// future heterogeneous nodes and does not key the lookup today.  Warm
-  /// calls: one acquire load, zero allocation.
-  [[nodiscard]] const gemm::TileConfig& gemm_tile_device(std::size_t device, Precision p,
-                                                         std::uint32_t size_class) noexcept;
-
   /// Tuned ServeEngine batch size, or `fallback` when untuned.
   [[nodiscard]] std::size_t serve_batch_jobs(std::size_t fallback) noexcept;
 
@@ -112,9 +103,6 @@ class Tuned {
   static constexpr std::size_t kSizeClasses = 32;
 
   std::atomic<const gemm::TileConfig*> tile_slots_[kNumPrecisions * kSizeClasses] = {};
-  /// Homogeneous GCDs: one slot bank for the per-GCD space, not one per
-  /// device index.
-  std::atomic<const gemm::TileConfig*> gcd_tile_slots_[kNumPrecisions * kSizeClasses] = {};
   std::atomic<std::uint64_t> slot_fills_{0};
 
   TuneMutex mutex_;  ///< guards the load + the fields below

@@ -19,6 +19,7 @@
 #include "multigpu/shard.hpp"
 #include "multigpu/spmv.hpp"
 #include "multigpu/stencil.hpp"
+#include "perfmodel/multigpu.hpp"
 #include "spmv/sparse.hpp"
 
 namespace portabench::multigpu {
@@ -347,14 +348,15 @@ TEST(DeviceCounters, PerDeviceTransferTalliesAndReset) {
 
 TEST(Topology, CrusherShapeDomainsPackagesAndLinks) {
   DeviceTopology topo(TopologyConfig::crusher_node(8));
+  const TopologyConfig& cfg = topo.config();
   EXPECT_EQ(topo.devices(), 8u);
   // GCD g is fed from domain g/2 (Table II cabling).
   for (std::size_t g = 0; g < 8; ++g) EXPECT_EQ(topo.numa_domain_of(g), g / 2);
   // Same staging domain: local link; other domain: remote link.
-  EXPECT_GT(topo.h2d_link(0, 0).bw_gbs, topo.h2d_link(0, 3).bw_gbs);
+  EXPECT_GT(cfg.h2d_link(0, 0).bw_gbs, cfg.h2d_link(0, 3).bw_gbs);
   // MCM pair (0,1) rides the wide fabric; (0,2) crosses packages.
-  EXPECT_GT(topo.d2d_link(0, 1).bw_gbs, topo.d2d_link(0, 2).bw_gbs);
-  EXPECT_LT(topo.d2d_seconds(0, 1, 1 << 20), topo.d2d_seconds(0, 2, 1 << 20));
+  EXPECT_GT(cfg.d2d_link(0, 1).bw_gbs, cfg.d2d_link(0, 2).bw_gbs);
+  EXPECT_LT(cfg.d2d_link(0, 1).seconds(1 << 20), cfg.d2d_link(0, 2).seconds(1 << 20));
 }
 
 TEST(Topology, PinnedPlacementLandsInDeviceDomain) {
@@ -377,18 +379,53 @@ TEST(Pipeline, OverlapShortensModeledMakespan) {
   // Pure modeled-clock test (no payload): 8 panels, transfer 1s + 1s,
   // compute 2s.  Serial: 8 * 4s = 32s.  Overlapped steady state is
   // compute-bound: ~2s/panel.
-  gpusim::DeviceContext ctx{gpusim::GpuSpec::mi250x_gcd()};
+  TopologyConfig one_device;
+  one_device.pin_workers = false;
+  DeviceTopology topo(one_device);
   const auto stage = [](double cost) {
-    return [cost](gpusim::Stream& s, std::size_t, std::size_t) { s.enqueue(cost); };
+    return [cost](gpusim::Stream& s, std::size_t, std::size_t, std::size_t) {
+      s.enqueue(cost);
+    };
   };
-  gpusim::PipelineOptions serial{.slots = 2, .overlap = false};
-  gpusim::PipelineOptions overlapped{.slots = 2, .overlap = true};
-  const auto ref = gpusim::run_pipeline(ctx, 8, serial, stage(1.0), stage(2.0), stage(1.0));
+  const auto ref =
+      gpusim::run_sharded_pipeline(topo, {8}, false, stage(1.0), stage(2.0), stage(1.0));
   const auto ovl =
-      gpusim::run_pipeline(ctx, 8, overlapped, stage(1.0), stage(2.0), stage(1.0));
+      gpusim::run_sharded_pipeline(topo, {8}, true, stage(1.0), stage(2.0), stage(1.0));
   EXPECT_DOUBLE_EQ(ref.modeled_s, 32.0);
   EXPECT_LT(ovl.modeled_s, ref.modeled_s);
   EXPECT_GE(ovl.modeled_s, 16.0);  // cannot beat the compute lower bound
+}
+
+// --- Analytical model vs driver ----------------------------------------------
+
+TEST(ShardedModel, StrictOrderMatchesDriverModeledClock) {
+  // The model must deal the driver's ShardPlan panels and charge the same
+  // TopologyConfig links.  Strict order, every device staging locally and
+  // 4 x 36 GB/s under the 170 GB/s host ceiling: the driver's makespan is
+  // exactly the model's broadcast plus panel transfers.  At n = 768 with
+  // 128-row panels, four GCDs run 256/256/128/128 rows.
+  constexpr std::size_t n = 768;
+  const std::vector<double> a = random_vector(n * n, 51);
+  const std::vector<double> b = random_vector(n * n, 52);
+  std::vector<double> c(n * n);
+  const perfmodel::GpuMachineModel model(perfmodel::GpuPerfSpec::mi250x_gcd());
+  perfmodel::ShardedGemmParams params;
+  params.n = n;
+  params.panel_rows = 128;
+  params.overlap = false;
+  for (const std::size_t g : {1u, 2u, 4u}) {
+    const TopologyConfig cfg = small_crusher(g);
+    DeviceTopology topo(cfg);
+    GemmShardOptions opt;
+    opt.panel_rows = params.panel_rows;
+    opt.overlap = false;
+    const auto stats = gemm_sharded<double>(topo, {a.data(), n, n}, {b.data(), n, n},
+                                            {c.data(), n, n}, opt);
+    const auto predicted =
+        perfmodel::sharded_pipeline_gemm(model, cfg, Precision::kDouble, params, g);
+    const double modeled = predicted[g - 1].broadcast_s + predicted[g - 1].transfer_s;
+    EXPECT_NEAR(stats.modeled_s, modeled, 1e-12 * modeled) << "devices " << g;
+  }
 }
 
 }  // namespace

@@ -8,25 +8,26 @@
 namespace portabench::perfmodel {
 namespace {
 
-TEST(LinkSpec, TransferTimeIsLatencyPlusBandwidth) {
-  LinkSpec link;
-  link.bw_gbs = 10.0;
-  link.latency_us = 100.0;
+using gpusim::LinkModel;
+using gpusim::TopologyConfig;
+
+TEST(LinkModel, TransferTimeIsLatencyPlusBandwidth) {
+  const LinkModel link{10.0, 100.0};
   // 10 GB at 10 GB/s = 1 s, plus 100 us latency.
-  EXPECT_NEAR(link.transfer_seconds(10.0e9), 1.0001, 1e-9);
+  EXPECT_NEAR(link.seconds(10.0e9), 1.0001, 1e-9);
   // Zero bytes still pays latency.
-  EXPECT_NEAR(link.transfer_seconds(0.0), 1.0e-4, 1e-12);
+  EXPECT_NEAR(link.seconds(0.0), 1.0e-4, 1e-12);
 }
 
-TEST(LinkSpec, FactoryParameters) {
-  EXPECT_GT(LinkSpec::infinity_fabric().bw_gbs, LinkSpec::pcie4_x16().bw_gbs);
-  EXPECT_TRUE(LinkSpec::pcie4_x16().duplex);
+TEST(LinkModel, CrusherHostLinkFasterThanWombat) {
+  EXPECT_GT(TopologyConfig::crusher_node().h2d_local.bw_gbs,
+            TopologyConfig::wombat_node().h2d_local.bw_gbs);
 }
 
 class EndToEndTest : public ::testing::Test {
  protected:
   GpuMachineModel model_{GpuPerfSpec::a100()};
-  LinkSpec link_ = LinkSpec::pcie4_x16();
+  LinkModel link_ = TopologyConfig::wombat_node().h2d_local;
 };
 
 TEST_F(EndToEndTest, SerialIsSumOfStages) {
@@ -67,14 +68,6 @@ TEST_F(EndToEndTest, BatchedOverlapApproachesBottleneck) {
   const double per_batch = t.overlapped_s / 64.0;
   const double bottleneck = std::max({t.kernel_s, t.h2d_s, t.d2h_s});
   EXPECT_NEAR(per_batch, bottleneck, 0.1 * bottleneck);
-}
-
-TEST_F(EndToEndTest, HalfDuplexSerializesTransfers) {
-  LinkSpec half = link_;
-  half.duplex = false;
-  const auto full = end_to_end_gemm(model_, link_, Precision::kDouble, 1024, 16);
-  const auto halfd = end_to_end_gemm(model_, half, Precision::kDouble, 1024, 16);
-  EXPECT_GE(halfd.overlapped_s, full.overlapped_s);
 }
 
 TEST_F(EndToEndTest, InvalidArgsRejected) {

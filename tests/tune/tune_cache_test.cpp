@@ -316,44 +316,4 @@ TEST_F(TunedResolver, ServeBatchJobsFallsBackWhenUntuned) {
   std::remove(path.c_str());
 }
 
-TEST_F(TunedResolver, PerGcdSpaceOverlaysSingleDeviceWinner) {
-  const std::string path = temp_path("tuned_gcd_overlay.json");
-  TuningCache cache;
-  CacheEntry single = entry_for(fingerprint_hash(local_fingerprint()));
-  single.size_class = 5;
-  cache.put(single);  // gemm-tile: mc=128
-  CacheEntry gcd = entry_for(fingerprint_hash(local_fingerprint()), "gemm-tile-gcd");
-  gcd.size_class = 5;
-  gcd.config["mc"] = 32;
-  gcd.config["tier"] = 0;
-  cache.put(gcd);
-  ASSERT_TRUE(cache.save(path));
-
-  Tuned& tuned = Tuned::instance();
-  tuned.reset_for_testing(path);
-  // The plain resolver sees the single-device winner, the per-device one
-  // its own space's entry — sharded dispatch can diverge per GCD.
-  EXPECT_EQ(tuned.gemm_tile(Precision::kDouble, 5).mc, 128u);
-  const gemm::TileConfig& dev = tuned.gemm_tile_device(0, Precision::kDouble, 5);
-  EXPECT_EQ(dev.mc, 32u);
-  EXPECT_EQ(dev.tier, 0);
-  std::remove(path.c_str());
-}
-
-TEST_F(TunedResolver, PerGcdSpaceFallsBackToSingleDeviceWinner) {
-  const std::string path = temp_path("tuned_gcd_fallback.json");
-  TuningCache cache;
-  CacheEntry single = entry_for(fingerprint_hash(local_fingerprint()));
-  single.size_class = 7;
-  cache.put(single);  // only gemm-tile tuned, no gemm-tile-gcd entry
-  ASSERT_TRUE(cache.save(path));
-
-  Tuned& tuned = Tuned::instance();
-  tuned.reset_for_testing(path);
-  const gemm::TileConfig& dev = tuned.gemm_tile_device(3, Precision::kDouble, 7);
-  EXPECT_EQ(dev.mc, 128u);  // inherits the single-device winner
-  EXPECT_EQ(dev.tier, 1);
-  std::remove(path.c_str());
-}
-
 }  // namespace

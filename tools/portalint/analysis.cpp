@@ -30,8 +30,7 @@ const std::set<std::string>& dispatch_calls() {
 const std::set<std::string>& queue_calls() {
   static const std::set<std::string> kCalls = {
       "enqueue",       "copy_async",          "copy_to_device_async",
-      "copy_to_host_async", "peer_copy_async", "run_pipeline",
-      "run_sharded_pipeline",
+      "copy_to_host_async", "peer_copy_async", "run_sharded_pipeline",
   };
   return kCalls;
 }

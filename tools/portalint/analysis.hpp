@@ -48,7 +48,7 @@ struct DispatchSite {
   /// Flattened token texts per top-level argument before the lambda.
   std::vector<std::vector<std::string>> leading_args;
   /// True for queue/stream entry points (enqueue, copy_*_async,
-  /// run_pipeline, ...): the lambda executes serialized in stream order
+  /// run_sharded_pipeline, ...): the lambda executes serialized in stream order
   /// rather than as parallel lanes.
   bool serialized = false;
 };

@@ -49,11 +49,6 @@ std::vector<Workload> all_workloads(std::size_t n) {
   for (const Precision p : {Precision::kDouble, Precision::kSingle, Precision::kHalfIn}) {
     out.push_back({"gemm-tile", std::string(name(p)), sc,
                    gemm_tile_objective(p, n), false});
-    // Same kernel, sharded regime: the per-GCD space re-measures the
-    // tile objective so multi-device dispatch can diverge from the
-    // single-device winner when the node shape rewards it.
-    out.push_back({"gemm-tile-gcd", std::string(name(p)), sc,
-                   gemm_tile_objective(p, n), false});
   }
   out.push_back({"dispatch", "-", 0, dispatch_objective(), false});
   out.push_back({"launch", "-", 0, launch_objective(), false});
