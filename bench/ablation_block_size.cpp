@@ -6,9 +6,9 @@
 // this kind of optimization").  This bench quantifies the design choice:
 // occupancy and modeled tile traffic across block shapes, plus functional
 // verification that every shape computes the same GEMM.
-// The square-tile rows reuse tune::modeled_block_stats — the SAME
-// analytics the autotuner's gpu-block space minimizes — so this
-// artifact and the tuner objective cannot drift apart.
+// The square-tile rows and their `tuner_cost` column reuse
+// tune::modeled_block_stats / modeled_block_cost
+// (tune/model_objectives.hpp), the one home of the block-geometry cost.
 #include <cstring>
 #include <iostream>
 #include <vector>

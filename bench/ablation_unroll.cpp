@@ -5,9 +5,9 @@
 // IV-B).  The codegen model turns that observation into numbers: modeled
 // sustained-issue efficiency vs unroll factor, the CUDA.jl/CUDA ratio it
 // implies, and the CPU-side codegen factors for each frontend.
-// The per-unroll efficiency numbers come from tune::modeled_unroll_*,
-// the SAME functions the autotuner's gpu-unroll space minimizes — this
-// artifact and the tuner objective cannot drift apart.
+// The per-unroll efficiency numbers and the `tuner_cost` column come
+// from tune::modeled_unroll_* (tune/model_objectives.hpp), the one
+// home of the modeled unroll cost.
 #include <cstring>
 #include <iostream>
 

@@ -1,11 +1,10 @@
 // tuned_vs_default: prove the tuning cache helps and never hurts.
 //
-// For every tunable timed workload (tiled GEMM at each precision, simrt
-// dispatch, gpusim launch, serve batching) this bench resolves a tuned
-// config — from a warm cache (--cache / PORTABENCH_TUNE_CACHE) when one
-// matches this machine's fingerprint, else a bounded in-process search —
-// then measures default and tuned interleaved and enforces two
-// contracts:
+// For every tunable workload (tiled GEMM at each precision, serve
+// batching) this bench resolves a tuned config — from a warm cache
+// (--cache / PORTABENCH_TUNE_CACHE) when one matches this machine's
+// fingerprint, else a bounded in-process search — then measures default
+// and tuned interleaved and enforces two contracts:
 //
 //   never worse: if the tuned config fails to beat the default beyond
 //     the default's own noise floor, the bench REVERTS it to the default
@@ -31,17 +30,10 @@
 #include "common/precision.hpp"
 #include "common/rng.hpp"
 #include "gemm/kernels_tiled.hpp"
-#include "gpusim/device.hpp"
-#include "gpusim/engine.hpp"
-#include "gpusim/tunables.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/serial.hpp"
-#include "primitives/sort.hpp"
 #include "serve/engine.hpp"
 #include "serve/serial.hpp"
 #include "simrt/mdarray.hpp"
 #include "simrt/parallel.hpp"
-#include "simrt/tunables.hpp"
 #include "tune/cache.hpp"
 #include "tune/fingerprint.hpp"
 #include "tune/objectives.hpp"
@@ -128,65 +120,6 @@ bool gemm_bitwise_for(Precision p, const tune::Config& cfg) {
   return false;
 }
 
-/// parallel_for (disjoint writes) + sum-reduce under default vs tuned
-/// dispatch tunables must match bit for bit: the static reduce blocks
-/// depend only on the thread count, never on the fork/chunk knobs.
-bool dispatch_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("dispatch");
-  const std::size_t extent = 4097;  // straddles typical cutoff boundaries
-  simrt::ThreadsSpace ts(std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-
-  const auto run = [&](std::vector<double>& data, double& sum) {
-    simrt::parallel_for(ts, simrt::RangePolicy(0, extent), [&data](std::size_t i) {
-      data[i] = static_cast<double>(i) * 1.0000001 + 0.25;
-    });
-    simrt::parallel_reduce(ts, simrt::RangePolicy(0, extent),
-                           [&data](std::size_t i, double& acc) { acc += data[i] * 1.5; },
-                           sum);
-  };
-
-  std::vector<double> d_def(extent), d_tuned(extent);
-  double s_def = 0.0, s_tuned = 0.0;
-  const simrt::DispatchTunables prev = simrt::dispatch_tunables();
-  simrt::reset_dispatch_tunables();
-  run(d_def, s_def);
-  simrt::DispatchTunables t;
-  t.fork_cutoff =
-      static_cast<std::size_t>(std::max(0L, tune::config_value(*space, cfg, "fork_cutoff")));
-  t.chunks_per_thread = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunks_per_thread")));
-  t.min_grain =
-      static_cast<std::size_t>(std::max(1L, tune::config_value(*space, cfg, "min_grain")));
-  simrt::set_dispatch_tunables(t);
-  run(d_tuned, s_tuned);
-  simrt::set_dispatch_tunables(prev);
-  return std::memcmp(d_def.data(), d_tuned.data(), extent * sizeof(double)) == 0 &&
-         std::memcmp(&s_def, &s_tuned, sizeof(double)) == 0;
-}
-
-bool launch_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("launch");
-  const std::size_t blocks = 257;
-  const auto run = [&](std::vector<double>& sink) {
-    gpusim::LaunchEngine::shared().run_blocks(
-        blocks, blocks * 64,
-        [&sink](std::size_t, std::size_t b) { sink[b] += static_cast<double>(b) * 0.5; });
-  };
-  std::vector<double> s_def(blocks, 1.0), s_tuned(blocks, 1.0);
-  const gpusim::LaunchTunables prev = gpusim::launch_tunables();
-  gpusim::reset_launch_tunables();
-  run(s_def);
-  gpusim::LaunchTunables t;
-  t.fork_cutoff =
-      static_cast<std::size_t>(std::max(0L, tune::config_value(*space, cfg, "fork_cutoff")));
-  t.chunks_per_worker = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunks_per_worker")));
-  gpusim::set_launch_tunables(t);
-  run(s_tuned);
-  gpusim::set_launch_tunables(prev);
-  return std::memcmp(s_def.data(), s_tuned.data(), blocks * sizeof(double)) == 0;
-}
-
 /// Served checksums under the tuned batch size must equal the serial
 /// oracle's — batch size changes flush boundaries, never job math.
 bool serve_bitwise(const tune::Config& cfg) {
@@ -233,69 +166,6 @@ bool serve_bitwise(const tune::Config& cfg) {
   return true;
 }
 
-/// Sorted (key, value) output under the tuned radix schedule must equal
-/// std::stable_sort over the key bijection — every knob (digit width,
-/// tile, lanes) is pure schedule.
-bool radix_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("primitives-radix");
-  primitives::SortConfig sc;
-  sc.radix_bits = static_cast<unsigned>(
-      std::clamp(tune::config_value(*space, cfg, "radix_bits"), 1L, 8L));
-  sc.chunk = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunk")));
-  sc.lanes = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "lanes")));
-
-  constexpr std::size_t n = 4099;  // prime: ragged tiles and lane slices
-  std::vector<std::uint64_t> keys(n), values(n);
-  Xoshiro256 rng(11);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = rng() & 0xffffull;  // dense duplicates exercise stability
-    values[i] = i;
-  }
-  std::vector<std::uint64_t> ref_keys = keys, ref_values = values;
-  primitives::sort_pairs_oracle(std::span<std::uint64_t>(ref_keys),
-                                std::span<std::uint64_t>(ref_values));
-
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  primitives::device_radix_sort_pairs<std::uint64_t, std::uint64_t>(
-      ctx, std::span<std::uint64_t>(keys), std::span<std::uint64_t>(values), sc);
-  return std::memcmp(keys.data(), ref_keys.data(), n * sizeof(std::uint64_t)) == 0 &&
-         std::memcmp(values.data(), ref_values.data(), n * sizeof(std::uint64_t)) == 0;
-}
-
-/// fp exclusive scan under the tuned schedule must equal both the default
-/// schedule and the serial oracle bit for bit: chunk/lanes only remap the
-/// frozen kSegment slices onto blocks.
-bool scan_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("primitives-scan");
-  primitives::ScanConfig tuned;
-  tuned.chunk = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunk")));
-  tuned.lanes = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "lanes")));
-
-  constexpr std::size_t n = 10007;  // prime: ragged final segment
-  std::vector<double> in(n);
-  Xoshiro256 rng(13);
-  for (std::size_t i = 0; i < n; ++i) in[i] = rng.uniform() - 0.5;
-
-  std::vector<double> ref(n);
-  primitives::exclusive_scan_oracle(std::span<const double>(in), std::span<double>(ref),
-                                    simrt::SumOp<double>{});
-
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  std::vector<double> out_def(n), out_tuned(n);
-  primitives::device_exclusive_scan(ctx, std::span<const double>(in),
-                                    std::span<double>(out_def),
-                                    simrt::SumOp<double>{});
-  primitives::device_exclusive_scan(ctx, std::span<const double>(in),
-                                    std::span<double>(out_tuned),
-                                    simrt::SumOp<double>{}, tuned);
-  return std::memcmp(out_def.data(), ref.data(), n * sizeof(double)) == 0 &&
-         std::memcmp(out_tuned.data(), ref.data(), n * sizeof(double)) == 0;
-}
-
 bool bitwise_check(const Workload& w, const tune::Config& cfg) {
   if (w.space == "gemm-tile") {
     for (const Precision p : {Precision::kDouble, Precision::kSingle, Precision::kHalfIn}) {
@@ -303,12 +173,7 @@ bool bitwise_check(const Workload& w, const tune::Config& cfg) {
     }
     return false;
   }
-  if (w.space == "dispatch") return dispatch_bitwise(cfg);
-  if (w.space == "launch") return launch_bitwise(cfg);
-  if (w.space == "serve-batch") return serve_bitwise(cfg);
-  if (w.space == "primitives-radix") return radix_bitwise(cfg);
-  if (w.space == "primitives-scan") return scan_bitwise(cfg);
-  return true;
+  return serve_bitwise(cfg);
 }
 
 // --------------------------------------------------------------------------
@@ -329,10 +194,11 @@ WorkloadResult run_workload(const Workload& w, const tune::TuningCache& cache,
   const tune::SpaceDesc* space = tune::find_space(w.space);
   const tune::Config defaults = tune::default_config(*space);
 
-  // Resolve the tuned candidate: warm cache first, else bounded search.
+  // Resolve the tuned candidate: warm cache first (an entry the registry
+  // forbids counts as a miss, as in tune::Tuned), else bounded search.
   const tune::CacheEntry* hit =
       cache.find(w.space, w.precision, w.size_class, fp_hash);
-  if (hit != nullptr) {
+  if (hit != nullptr && tune::config_valid(*space, hit->config)) {
     r.config = hit->config;
     r.from_cache = true;
   } else {
@@ -393,14 +259,8 @@ int run(const Options& opt) {
     workloads.push_back({std::string("gemm_") + std::string(name(p)), "gemm-tile",
                          std::string(name(p)), sc, tune::gemm_tile_objective(p, n)});
   }
-  workloads.push_back({"dispatch", "dispatch", "-", 0, tune::dispatch_objective()});
-  workloads.push_back({"launch", "launch", "-", 0, tune::launch_objective()});
   workloads.push_back(
       {"serve_batch", "serve-batch", "-", 0, tune::serve_batch_objective(serve_jobs)});
-  workloads.push_back({"prim_radix", "primitives-radix", "-", 0,
-                       tune::primitives_radix_objective(opt.quick ? (1u << 15) : (1u << 17))});
-  workloads.push_back({"prim_scan", "primitives-scan", "-", 0,
-                       tune::primitives_scan_objective(opt.quick ? (1u << 16) : (1u << 19))});
 
   std::vector<WorkloadResult> results;
   double best_speedup = 1.0;

@@ -61,14 +61,14 @@ std::span<std::byte> LaunchEngine::worker_arena(std::size_t worker, std::size_t 
                                std::memory_order_relaxed)) {
     }
   }
-  std::memset(arena.bytes.data(), 0, bytes);
+  if (bytes != 0) std::memset(arena.bytes.data(), 0, bytes);  // data() is null while empty
   return {arena.bytes.data(), bytes};
 }
 
 std::span<std::byte> LaunchEngine::local_arena(std::size_t bytes) {
   thread_local std::vector<std::byte> arena;
   if (arena.size() < bytes) arena.resize(bytes);
-  std::memset(arena.data(), 0, bytes);
+  if (bytes != 0) std::memset(arena.data(), 0, bytes);
   return {arena.data(), bytes};
 }
 

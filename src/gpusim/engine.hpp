@@ -44,15 +44,6 @@ namespace portabench::gpusim {
 
 class LaunchEngine {
  public:
-  /// Total simulated threads (grid * block volume) below which a launch
-  /// runs serially inline on the caller: the fork-join rendezvous costs
-  /// microseconds, which is thousands of cheap lane iterations.  Matches
-  /// the simrt fork-elision cutoff so the two layers agree on what
-  /// "too small to fork" means.  Compile-time default only: run_blocks
-  /// compares against launch_tunables().fork_cutoff so the autotuner /
-  /// PORTABENCH_TUNE_LAUNCH_CUTOFF can retune it per machine.
-  static constexpr std::size_t kLaunchForkCutoff = simrt::ThreadPool::kForkCutoff;
-
   /// `threads == 0` resolves to PORTABENCH_GPUSIM_THREADS or, failing
   /// that, the host's hardware concurrency.  Workers are spawned lazily
   /// on the first launch that actually forks, so constructing an engine
@@ -87,7 +78,8 @@ class LaunchEngine {
 
   /// Run body(worker, block) for every block in [0, num_blocks).
   /// Forks across the pool when `total_threads` (the launch's simulated
-  /// thread count) reaches kLaunchForkCutoff and the caller is not
+  /// thread count) reaches simrt::kForkCutoff — below it the fork-join
+  /// rendezvous costs more than the lanes — and the caller is not
   /// already inside a region; otherwise runs serially on the caller with
   /// worker id kSerialWorker.  Blocks are dealt to workers in contiguous
   /// chunks via a shared counter, so guard-trimmed edge blocks
@@ -95,18 +87,17 @@ class LaunchEngine {
   template <class Body>
   void run_blocks(std::size_t num_blocks, std::size_t total_threads, Body&& body) {
     if (num_blocks == 0) return;
-    const LaunchTunables lt = launch_tunables();
-    if (total_threads < lt.fork_cutoff || num_workers_ <= 1 || in_region()) {
+    if (total_threads < simrt::kForkCutoff || num_workers_ <= 1 || in_region()) {
       for (std::size_t b = 0; b < num_blocks; ++b) body(kSerialWorker, b);
       return;
     }
     std::lock_guard<std::mutex> lock(launch_mutex_);
     simrt::ThreadPool& pool = ensure_pool();
     const std::size_t nt = pool.size();
-    // ~chunks_per_worker chunks per worker bounds the counter traffic
-    // (tunable; block dealing only — per-block results are unaffected).
-    const std::size_t chunk = std::max<std::size_t>(
-        1, num_blocks / (nt * std::max<std::size_t>(1, lt.chunks_per_worker)));
+    // ~kLaunchChunksPerWorker chunks per worker bounds the counter
+    // traffic (block dealing only — per-block results are unaffected).
+    const std::size_t chunk =
+        std::max<std::size_t>(1, num_blocks / (nt * kLaunchChunksPerWorker));
     std::atomic<std::size_t> next{0};
     pool.run([&](std::size_t t) {
       const RegionScope scope;

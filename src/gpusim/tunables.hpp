@@ -1,19 +1,10 @@
-// Runtime-configurable launch tunables for the gpusim block engine.
+// Launch schedule constants for the gpusim block engine.
 //
-// The launch fork-elision cutoff and the block-dealing chunk factor in
-// LaunchEngine::run_blocks were compile-time constants; like the simrt
-// dispatch knobs they are machine-dependent scheduling parameters, so
-// they are now process-global runtime values the autotuner (src/tune,
-// docs/TUNING.md) or the environment can override:
-//
-//   PORTABENCH_TUNE_LAUNCH_CUTOFF   simulated threads below which a
-//                                   launch runs the serial inline walk
-//   PORTABENCH_TUNE_LAUNCH_CHUNKS   target block chunks per worker
-//
-// Same semantics as simrt/tunables.hpp: env applied once on first access,
-// explicit setters win afterwards, relaxed reads, and every setting only
-// changes block scheduling — per-block execution order inside a block and
-// all arithmetic are untouched, so launches stay bitwise-identical.
+// The launch fork-elision cutoff is the simrt one (so both layers agree
+// on what "too small to fork" means); the block-dealing chunk factor is
+// LaunchEngine::run_blocks' own.  Both only change block scheduling —
+// per-block execution order and all arithmetic are untouched, so
+// launches stay bitwise-identical to the serial walk.
 #pragma once
 
 #include <cstddef>
@@ -22,20 +13,17 @@
 
 namespace portabench::gpusim {
 
-inline constexpr std::size_t kDefaultLaunchChunksPerWorker = 8;
+/// Target block chunks per pool worker.
+inline constexpr std::size_t kLaunchChunksPerWorker = 8;
 
-/// Snapshot of the launch scheduling knobs.
+/// The two launch scheduling constants.
 struct LaunchTunables {
-  std::size_t fork_cutoff = simrt::kDefaultForkCutoff;  ///< 0 = always fork
-  std::size_t chunks_per_worker = kDefaultLaunchChunksPerWorker;  ///< clamped >= 1
+  std::size_t fork_cutoff;        ///< simulated threads below which a launch runs serially
+  std::size_t chunks_per_worker;  ///< target block chunks per worker
 };
 
-[[nodiscard]] LaunchTunables launch_tunables() noexcept;
-void set_launch_tunables(const LaunchTunables& t) noexcept;
-void reset_launch_tunables() noexcept;
-
-/// `base` with any PORTABENCH_TUNE_LAUNCH_* values from `lookup` applied.
-[[nodiscard]] LaunchTunables parse_launch_env(const LaunchTunables& base,
-                                              const simrt::EnvLookup& lookup);
+[[nodiscard]] constexpr LaunchTunables launch_tunables() noexcept {
+  return {simrt::kForkCutoff, kLaunchChunksPerWorker};
+}
 
 }  // namespace portabench::gpusim

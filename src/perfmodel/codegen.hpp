@@ -18,7 +18,7 @@ namespace portabench::perfmodel {
 
 /// What the compiler emitted for the innermost GEMM loop.
 struct CodegenProfile {
-  // portalint: tn-magic-tile-ok(models what the compiler emitted; the gpu-unroll tuning space varies it)
+  // portalint: tn-magic-tile-ok(models what the compiler emitted; the unroll ablation varies it)
   int unroll = 4;                 ///< independent accumulation chains
   std::size_t vector_bits = 256;  ///< vector width used (0 = scalar)
   bool bounds_checked = false;    ///< per-access bounds tests (Numba, Julia w/o @inbounds)

@@ -31,7 +31,7 @@
 
 namespace portabench::primitives {
 
-/// Schedule-only knobs (searchable; see the `primitives-scan` space).
+/// Per-call schedule-only knobs: any value yields identical bits.
 struct ReduceConfig {
   std::size_t lanes = kDefaultLanes;
   std::size_t items_per_lane = kDefaultItemsPerLane;  ///< segments per lane

@@ -29,7 +29,7 @@
 
 namespace portabench::primitives {
 
-/// Schedule-only knobs (searchable; see the `primitives-scan` space).
+/// Per-call schedule-only knobs: any value yields identical bits.
 struct ScanConfig {
   std::size_t lanes = kDefaultLanes;
   std::size_t chunk = kDefaultScanChunk;  ///< elements per block tile

@@ -40,9 +40,9 @@
 
 namespace portabench::primitives {
 
-/// Schedule-only knobs (searchable; see the `primitives-radix` space).
-/// radix_bits is schedule-only too: any digit width yields the identical
-/// sorted output (the keys are integers after the bijection).
+/// Per-call schedule-only knobs.  radix_bits is schedule-only too: any
+/// digit width yields the identical sorted output (the keys are
+/// integers after the bijection).
 struct SortConfig {
   unsigned radix_bits = kDefaultRadixBits;
   std::size_t chunk = kDefaultSortChunk;  ///< elements per block tile

@@ -4,20 +4,19 @@
 // device-wide reduction/scan folds within kSegment-element slices and
 // combines slice partials in ascending slice order, so the result is a
 // pure function of (T, op, n, kSegment) — never of block size, grain, or
-// thread count.  It is registered FROZEN in the tuning registry (the
-// same contract as the GEMM kc panel depth); changing it changes
-// floating-point bits and invalidates every golden value.
+// thread count.  It plays the role of the GEMM kc panel depth: changing
+// it changes floating-point bits and invalidates every golden value.
 //
-// Everything else here is a schedule-only default: it remaps which
-// worker computes which slice and is searchable through the
-// `primitives-scan` / `primitives-radix` spaces (docs/TUNING.md).
+// Everything else here is a schedule-only default of the per-call
+// ScanConfig / ReduceConfig / SortConfig: it remaps which worker
+// computes which slice, never the bits.
 #pragma once
 
 #include <cstddef>
 
 namespace portabench::primitives {
 
-/// ORDER-AFFECTING (frozen): elements per association segment.
+/// ORDER-AFFECTING: elements per association segment.
 inline constexpr std::size_t kSegment = 1024;
 
 /// Lanes per block for reduce/scan/histogram launches (schedule-only).

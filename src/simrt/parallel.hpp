@@ -64,20 +64,18 @@ inline Block static_block(std::size_t extent, std::size_t num_threads, std::size
 }
 
 inline std::size_t default_chunk(std::size_t extent, std::size_t num_threads) {
-  // Aim for ~chunks_per_thread chunks per thread (load balance), but
+  // Aim for ~kChunksPerThread chunks per thread (load balance), but
   // never chunks so small that per-chunk scheduling overhead exceeds the
-  // work: at least min_grain iterations per chunk, relaxed to extent/nt
+  // work: at least kMinGrain iterations per chunk, relaxed to extent/nt
   // when the extent is too small to give every thread even one such
-  // chunk (so all threads still participate).  Both knobs come from the
-  // runtime tunables (simrt/tunables.hpp) so the autotuner can retune
-  // them; chunking only repartitions iterations, so results stay
-  // bitwise-identical across any setting.
-  const DispatchTunables tn = dispatch_tunables();
+  // chunk (so all threads still participate).  Chunking only
+  // repartitions iterations, so results are bitwise-identical to any
+  // other grain.
   const std::size_t nt = std::max<std::size_t>(1, num_threads);
-  const std::size_t cpt = std::max<std::size_t>(1, tn.chunks_per_thread);
-  const std::size_t balanced = (extent + nt * cpt - 1) / (nt * cpt);  // ceil
+  const std::size_t per_round = nt * kChunksPerThread;
+  const std::size_t balanced = (extent + per_round - 1) / per_round;  // ceil
   const std::size_t per_thread = std::max<std::size_t>(1, extent / nt);
-  return std::max(balanced, std::min(std::max<std::size_t>(1, tn.min_grain), per_thread));
+  return std::max(balanced, std::min(kMinGrain, per_thread));
 }
 
 /// Per-thread chunk queue for dynamic scheduling: a contiguous range of

@@ -19,10 +19,10 @@
 // small-region latency (bench/micro_dispatch.cpp measures the difference).
 //
 // On top of the cheap fork-join, run_auto() adds grain-based fork
-// elision: a region whose total work is below kForkCutoff executes all
-// logical lanes serially on the caller with identical lane decomposition
-// (so results are bitwise-identical to the forked path) and touches no
-// shared state at all.  The simrt dispatch layer (parallel.hpp) routes
+// elision: a region whose total work is below kForkCutoff
+// (simrt/tunables.hpp) executes all logical lanes serially on the caller
+// with identical lane decomposition (so results are bitwise-identical to
+// the forked path) and touches no shared state at all.  The simrt dispatch layer (parallel.hpp) routes
 // every parallel_* region through run_auto with the region's iteration
 // count as the hint.
 #pragma once
@@ -75,15 +75,6 @@ class ThreadPool {
         const_cast<std::remove_const_t<Fn>*>(std::addressof(task)));
   }
 
-  /// Below this many work items a parallel region costs more to fork than
-  /// to run: the rendezvous is a few microseconds even on the lock-free
-  /// path (worker wake-up + join), which is thousands of cheap iterations.
-  /// OpenMP's `if` clause and Kokkos' host back ends make the same call.
-  /// This is the compile-time default; the runtime value run_auto()
-  /// actually compares against comes from dispatch_tunables() so the
-  /// autotuner / PORTABENCH_TUNE_FORK_CUTOFF can retune it per machine.
-  static constexpr std::size_t kForkCutoff = kDefaultForkCutoff;
-
   /// run() with grain-based fork elision: regions whose total work is
   /// below kForkCutoff execute all logical lanes serially on the caller
   /// (same per-lane closures, same arithmetic, bitwise-identical results
@@ -95,7 +86,7 @@ class ThreadPool {
     using Fn = std::remove_reference_t<F>;
     auto* ctx = const_cast<std::remove_const_t<Fn>*>(std::addressof(task));
     auto* fn = +[](void* c, std::size_t tid) { (*static_cast<Fn*>(c))(tid); };
-    if (work_hint < dispatch_fork_cutoff()) {
+    if (work_hint < kForkCutoff) {
       run_inline(fn, ctx);
     } else {
       run_impl(fn, ctx);

@@ -1,73 +1,31 @@
-// Runtime-configurable dispatch tunables.
+// Dispatch schedule constants.
 //
 // The fork-elision grain (ThreadPool::run_auto) and the dynamic-schedule
-// chunk heuristic (detail::default_chunk) used to be translation-unit
-// constants.  The paper's own cross-machine results (unroll-2 vs unroll-4
-// winning on different GPUs) show the best scheduling point is
-// machine-dependent, so these knobs are now process-global runtime values
-// that the autotuner (src/tune, docs/TUNING.md) or the environment can
-// override:
+// chunk heuristic (detail::default_chunk).  Every value only changes
+// *scheduling* — lane decomposition and reduction join order are
+// invariant, so results are bitwise-identical to any other setting
+// (dispatch_stress_test pins inline against forked lanes).
 //
-//   PORTABENCH_TUNE_FORK_CUTOFF   work items below which a region runs
-//                                 inline instead of forking
-//   PORTABENCH_TUNE_CHUNK         target chunks per thread for dynamic
-//                                 schedules
-//   PORTABENCH_TUNE_MIN_GRAIN     minimum iterations per dynamic chunk
-//
-// Environment overrides are applied once, on first access; explicit
-// set_dispatch_tunables() calls (the autotuner's path) win over the
-// environment from that point on.  All values only change *scheduling* —
-// lane decomposition and reduction join order are invariant, so results
-// stay bitwise-identical across any setting (tunables_test pins this).
-//
-// Reads are relaxed atomics: a racing set_dispatch_tunables() simply means
-// some in-flight region uses the old grain, which is benign by the same
-// argument.
+// They live here, in a `tunables` header, because portalint's
+// tn-magic-tile rule gives every hard-coded scheduling literal one
+// sanctioned home (src/tune or a tunables module).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 namespace portabench::simrt {
 
-/// Compile-time defaults (the historical constants).  These live here —
-/// the tuning surface — so every hard-coded scheduling literal has one
-/// sanctioned home (portalint tn-magic-tile enforces this elsewhere).
-inline constexpr std::size_t kDefaultForkCutoff = 4096;
-inline constexpr std::size_t kDefaultChunksPerThread = 8;
-inline constexpr std::size_t kDefaultMinGrain = 8;
+/// Work items below which a parallel region runs inline on the caller
+/// instead of forking: the rendezvous costs a few microseconds even on
+/// the lock-free path, which is thousands of cheap iterations.  OpenMP's
+/// `if` clause and Kokkos' host back ends make the same call, and the
+/// gpusim launch engine uses the same cutoff.
+inline constexpr std::size_t kForkCutoff = 4096;
 
-/// Snapshot of the dispatch scheduling knobs.
-struct DispatchTunables {
-  std::size_t fork_cutoff = kDefaultForkCutoff;        ///< 0 = always fork
-  std::size_t chunks_per_thread = kDefaultChunksPerThread;  ///< clamped >= 1
-  std::size_t min_grain = kDefaultMinGrain;            ///< clamped >= 1
-};
+/// Target dynamic chunks per thread.
+inline constexpr std::size_t kChunksPerThread = 8;
 
-/// Current process-wide tunables (defaults + env on first access, or the
-/// last set_dispatch_tunables()).
-[[nodiscard]] DispatchTunables dispatch_tunables() noexcept;
-
-/// Fast accessor for the hot run_auto() path: one relaxed atomic load.
-[[nodiscard]] std::size_t dispatch_fork_cutoff() noexcept;
-
-/// Install new tunables (clamped: chunks_per_thread/min_grain >= 1).
-void set_dispatch_tunables(const DispatchTunables& t) noexcept;
-
-/// Back to defaults, then re-apply environment overrides (test hook).
-void reset_dispatch_tunables() noexcept;
-
-/// Environment lookup signature (injectable for tests: the round-trip
-/// regression feeds a fake environment instead of mutating the real one).
-using EnvLookup = std::function<const char*(const char*)>;
-
-/// `base` with any PORTABENCH_TUNE_{FORK_CUTOFF,CHUNK,MIN_GRAIN} values
-/// from `lookup` applied on top.  Unparseable values are ignored.
-[[nodiscard]] DispatchTunables parse_dispatch_env(const DispatchTunables& base,
-                                                  const EnvLookup& lookup);
-
-/// Parse a non-negative size from env text; false (and *out untouched) on
-/// empty/garbage/negative input.  Shared by the gpusim launch tunables.
-[[nodiscard]] bool parse_tunable_size(const char* text, std::size_t* out) noexcept;
+/// Minimum iterations per dynamic chunk.
+inline constexpr std::size_t kMinGrain = 8;
 
 }  // namespace portabench::simrt

@@ -1,12 +1,12 @@
-// Model-based tuner objectives, shared with the ablation benches.
+// Modeled GPU cost functions for the unroll and block-geometry ablations.
 //
-// The gpu-unroll and gpu-block registry spaces have no host kernel to
-// time — they model the paper's device-side findings (unroll-2 vs
-// unroll-4 PTX, block-geometry traffic).  Their objectives come from the
-// calibrated perfmodel/gpusim analytics, and bench/ablation_unroll and
-// bench/ablation_block_size emit the SAME functions into their
-// BENCH_*.json artifacts, so the tuner and the ablation figures can
-// never drift apart.
+// The paper's device-side findings (unroll-2 vs unroll-4 PTX,
+// block-geometry traffic) have no host kernel to time, so their costs
+// come from the calibrated perfmodel/gpusim analytics.
+// bench/ablation_unroll and bench/ablation_block_size emit these
+// functions into their BENCH_*.json artifacts (the `tuner_cost`
+// columns): the smaller-is-better cost a search over the knob would
+// minimize.  No registry space searches them.
 //
 // Header-only on purpose: consumers must link portabench::perfmodel and
 // portabench::gpusim (the tune core library does not take a perfmodel
@@ -33,8 +33,7 @@ namespace portabench::tune {
   return perfmodel::gpu_inner_loop_efficiency(p);
 }
 
-/// Tuner objective for the "gpu-unroll" space: smaller-is-better cost
-/// (inverse efficiency).
+/// Smaller-is-better unroll cost (inverse efficiency).
 [[nodiscard]] inline double modeled_unroll_cost(long unroll) {
   return 1.0 / std::max(1e-9, modeled_unroll_efficiency(unroll));
 }
@@ -67,8 +66,8 @@ inline constexpr std::size_t kBlockModelN = 8192;
   return out;
 }
 
-/// Tuner objective for the "gpu-block" space: modeled time-proxy —
-/// traffic inflated by poor coalescing, deflated by occupancy.
+/// Smaller-is-better block cost: modeled time-proxy — traffic inflated
+/// by poor coalescing, deflated by occupancy.
 [[nodiscard]] inline double modeled_block_cost(long block_edge) {
   const BlockModelStats s = modeled_block_stats(block_edge);
   return s.traffic_bytes * s.expansion / std::max(1e-3, s.occupancy);

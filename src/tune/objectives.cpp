@@ -8,16 +8,9 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "gemm/kernels_tiled.hpp"
-#include "gpusim/device.hpp"
-#include "gpusim/engine.hpp"
-#include "gpusim/tunables.hpp"
-#include "primitives/reduce.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/sort.hpp"
 #include "serve/engine.hpp"
 #include "simrt/mdarray.hpp"
 #include "simrt/parallel.hpp"
-#include "simrt/tunables.hpp"
 
 namespace portabench::tune {
 
@@ -83,76 +76,6 @@ Objective gemm_tile_objective(Precision p, std::size_t n) {
   return make_gemm_objective<double, double>(n);
 }
 
-Objective dispatch_objective(std::size_t extent) {
-  struct State {
-    explicit State(std::size_t size)
-        : space(std::max<std::size_t>(2, std::thread::hardware_concurrency())),
-          data(size, 1.0) {}
-    simrt::ThreadsSpace space;
-    std::vector<double> data;
-  };
-  auto st = std::make_shared<State>(extent);
-  return [st, extent](const Config& cfg) -> double {
-    const simrt::DispatchTunables prev = simrt::dispatch_tunables();
-    simrt::DispatchTunables t = prev;
-    t.fork_cutoff = knob(cfg, "fork_cutoff", prev.fork_cutoff);
-    t.chunks_per_thread = knob(cfg, "chunks_per_thread", prev.chunks_per_thread);
-    t.min_grain = knob(cfg, "min_grain", prev.min_grain);
-    simrt::set_dispatch_tunables(t);
-
-    double* const data = st->data.data();
-    Timer timer;
-    // Many small trivial regions: the fork-vs-inline decision IS the
-    // cost here (same regime bench/micro_dispatch measures).  Writes are
-    // per-index disjoint, so the result is schedule-invariant.
-    constexpr int kStaticIters = 48;
-    for (int it = 0; it < kStaticIters; ++it) {
-      simrt::parallel_for(st->space, simrt::RangePolicy(0, extent),
-                          [data](std::size_t i) {
-                            data[i] = data[i] * 0.999999 + static_cast<double>(i & 7);
-                          });
-    }
-    constexpr int kDynamicIters = 16;
-    simrt::RangePolicy dynamic_policy(0, extent);
-    dynamic_policy.schedule = simrt::Schedule::kDynamic;
-    for (int it = 0; it < kDynamicIters; ++it) {
-      simrt::parallel_for(st->space, dynamic_policy, [data](std::size_t i) {
-        data[i] = data[i] * 0.999999 + 1.0;
-      });
-    }
-    const double ms = timer.seconds() * 1e3;
-    simrt::set_dispatch_tunables(prev);
-    return ms;
-  };
-}
-
-Objective launch_objective(std::size_t blocks, std::size_t block_threads) {
-  struct State {
-    explicit State(std::size_t nblocks) : sink(nblocks, 0.0) {}
-    std::vector<double> sink;
-  };
-  auto st = std::make_shared<State>(blocks);
-  return [st, blocks, block_threads](const Config& cfg) -> double {
-    const gpusim::LaunchTunables prev = gpusim::launch_tunables();
-    gpusim::LaunchTunables t = prev;
-    t.fork_cutoff = knob(cfg, "fork_cutoff", prev.fork_cutoff);
-    t.chunks_per_worker = knob(cfg, "chunks_per_worker", prev.chunks_per_worker);
-    gpusim::set_launch_tunables(t);
-
-    gpusim::LaunchEngine& engine = gpusim::LaunchEngine::shared();
-    double* const sink = st->sink.data();
-    Timer timer;
-    constexpr int kIters = 24;
-    for (int it = 0; it < kIters; ++it) {
-      engine.run_blocks(blocks, blocks * block_threads,
-                        [sink](std::size_t, std::size_t b) { sink[b] += 1.0; });
-    }
-    const double ms = timer.seconds() * 1e3;
-    gpusim::set_launch_tunables(prev);
-    return ms;
-  };
-}
-
 Objective serve_batch_objective(std::size_t jobs, std::uint32_t n) {
   return [jobs, n](const Config& cfg) -> double {
     serve::ServeConfig sc;
@@ -171,68 +94,6 @@ Objective serve_batch_objective(std::size_t jobs, std::uint32_t n) {
       (void)engine.try_submit(d);
     }
     engine.drain();
-    return timer.seconds() * 1e3;
-  };
-}
-
-Objective primitives_radix_objective(std::size_t n) {
-  struct State {
-    explicit State(std::size_t size)
-        : ctx(gpusim::GpuSpec::a100()), keys(size), values(size),
-          key_seed(size), value_seed(size) {}
-    gpusim::DeviceContext ctx;
-    std::vector<std::uint64_t> keys, values;
-    std::vector<std::uint64_t> key_seed, value_seed;
-  };
-  auto st = std::make_shared<State>(n);
-  Xoshiro256 rng(1234);
-  for (std::size_t i = 0; i < n; ++i) {
-    st->key_seed[i] = rng();
-    st->value_seed[i] = i;
-  }
-  return [st](const Config& cfg) -> double {
-    primitives::SortConfig sc;
-    const auto bits = cfg.find("radix_bits");
-    if (bits != cfg.end() && bits->second >= 1 && bits->second <= 8) {
-      sc.radix_bits = static_cast<unsigned>(bits->second);
-    }
-    sc.chunk = knob(cfg, "chunk", sc.chunk);
-    sc.lanes = knob(cfg, "lanes", sc.lanes);
-    st->keys = st->key_seed;
-    st->values = st->value_seed;
-    Timer timer;
-    primitives::device_radix_sort_pairs<std::uint64_t, std::uint64_t>(
-        st->ctx, std::span<std::uint64_t>(st->keys),
-        std::span<std::uint64_t>(st->values), sc);
-    return timer.seconds() * 1e3;
-  };
-}
-
-Objective primitives_scan_objective(std::size_t n) {
-  struct State {
-    explicit State(std::size_t size)
-        : ctx(gpusim::GpuSpec::a100()), in(size), out(size) {}
-    gpusim::DeviceContext ctx;
-    std::vector<double> in, out;
-  };
-  auto st = std::make_shared<State>(n);
-  Xoshiro256 rng(5678);
-  for (std::size_t i = 0; i < n; ++i) st->in[i] = rng.uniform() - 0.5;
-  return [st](const Config& cfg) -> double {
-    primitives::ScanConfig sc;
-    sc.chunk = knob(cfg, "chunk", sc.chunk);
-    sc.lanes = knob(cfg, "lanes", sc.lanes);
-    primitives::ReduceConfig rc;
-    rc.lanes = sc.lanes;
-    rc.items_per_lane = knob(cfg, "items_per_lane", rc.items_per_lane);
-    Timer timer;
-    primitives::device_exclusive_scan(st->ctx, std::span<const double>(st->in),
-                                      std::span<double>(st->out),
-                                      simrt::SumOp<double>{}, sc);
-    // The reduce runs through real launches — it cannot be elided; the
-    // value itself is pinned elsewhere (tuned_vs_default, oracle tests).
-    (void)primitives::device_reduce(st->ctx, std::span<const double>(st->in),
-                                    simrt::SumOp<double>{}, rc);
     return timer.seconds() * 1e3;
   };
 }

@@ -1,12 +1,10 @@
 // Timed tuner objectives over the real kernels.
 //
 // Each factory returns an Objective closure that owns its workload state
-// (matrices, sinks, an engine) so repeated evaluations measure the same
-// work; one call = one timed evaluation in milliseconds.  The process-
-// wide tunables an objective exercises (dispatch/launch) are set from
-// the candidate config for the duration of the evaluation and restored
-// afterwards — tuning measurements never leak scheduling state into the
-// caller.
+// (matrices, a thread team) so repeated evaluations measure the same
+// work; one call = one timed evaluation in milliseconds.  Candidates
+// reach the workload as per-call arguments, so a measurement never
+// leaks scheduling state into the caller.
 //
 // These live in a separate library (portabench_tune_objectives) because
 // the serve-batch objective needs the serving layer, and serve itself
@@ -25,31 +23,8 @@ namespace portabench::tune {
 /// persistent thread team; candidate configs name "mc"/"kc"/"tier".
 [[nodiscard]] Objective gemm_tile_objective(Precision p, std::size_t n);
 
-/// simrt dispatch objective: small trivial-work parallel regions (static
-/// + dynamic) of `extent` iterations — the regime where fork cost
-/// dominates; candidates name "fork_cutoff"/"chunks_per_thread"/
-/// "min_grain".
-[[nodiscard]] Objective dispatch_objective(std::size_t extent = 8192);
-
-/// gpusim launch objective: `blocks` trivial blocks of `block_threads`
-/// simulated threads; candidates name "fork_cutoff"/"chunks_per_worker".
-[[nodiscard]] Objective launch_objective(std::size_t blocks = 512,
-                                         std::size_t block_threads = 64);
-
 /// Serving objective: stream `jobs` tiled-GEMM jobs of size `n` through
 /// a fresh ServeEngine per evaluation; candidates name "batch_jobs".
 [[nodiscard]] Objective serve_batch_objective(std::size_t jobs = 2048, std::uint32_t n = 48);
-
-/// Device radix-sort objective: sort `n` random uint64 keys (key-value,
-/// the serve flush shape) under the candidate schedule; candidates name
-/// "radix_bits"/"chunk"/"lanes".  Every knob is schedule-only, so the
-/// objective asserts nothing about values — the bitwise pin lives in
-/// bench/tuned_vs_default.
-[[nodiscard]] Objective primitives_radix_objective(std::size_t n = 1u << 18);
-
-/// Device scan+reduce objective: exclusive double scan plus sum reduce
-/// over `n` elements under the candidate schedule; candidates name
-/// "chunk"/"lanes"/"items_per_lane" (and the frozen "segment").
-[[nodiscard]] Objective primitives_scan_objective(std::size_t n = 1u << 20);
 
 }  // namespace portabench::tune

@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "gemm/kernels_tiled.hpp"
-#include "gpusim/tunables.hpp"
-#include "primitives/tunables.hpp"
 #include "simrt/simd.hpp"
-#include "simrt/tunables.hpp"
 
 namespace portabench::tune {
 
@@ -77,45 +74,6 @@ std::vector<SpaceDesc> build_registry() {
 
   {
     SpaceDesc s;
-    s.name = "dispatch";
-    s.what = "simrt fork-elision grain and dynamic-chunk heuristic";
-    s.params.push_back({"fork_cutoff",
-                        {256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 262144},
-                        static_cast<long>(simrt::kDefaultForkCutoff),
-                        false,
-                        "work items below which a region runs inline"});
-    s.params.push_back({"chunks_per_thread",
-                        {2, 4, 8, 16, 32},
-                        static_cast<long>(simrt::kDefaultChunksPerThread),
-                        false,
-                        "target dynamic chunks per thread"});
-    s.params.push_back({"min_grain",
-                        {1, 2, 4, 8, 16, 32},
-                        static_cast<long>(simrt::kDefaultMinGrain),
-                        false,
-                        "minimum iterations per dynamic chunk"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    SpaceDesc s;
-    s.name = "launch";
-    s.what = "gpusim block-engine fork cutoff and block dealing";
-    s.params.push_back({"fork_cutoff",
-                        {256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 262144},
-                        static_cast<long>(simrt::kDefaultForkCutoff),
-                        false,
-                        "simulated threads below which a launch walks serially"});
-    s.params.push_back({"chunks_per_worker",
-                        {2, 4, 8, 16, 32},
-                        static_cast<long>(gpusim::kDefaultLaunchChunksPerWorker),
-                        false,
-                        "target block chunks per pool worker"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    SpaceDesc s;
     s.name = "serve-batch";
     s.what = "ServeEngine jobs per flushed batch";
     s.params.push_back({"batch_jobs",
@@ -124,91 +82,6 @@ std::vector<SpaceDesc> build_registry() {
                         false,
                         "jobs per shard flush; larger batches amortize launches, "
                         "smaller ones bound latency"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    // Device-wide radix sort schedule.  Every knob is schedule-only: the
-    // keys are integers after the radix bijection, so any digit width,
-    // tile size, or lane count yields the identical (stable) sorted
-    // output — tuned_vs_default pins that bitwise.
-    SpaceDesc s;
-    s.name = "primitives-radix";
-    s.what = "device radix sort: digit width, block tile, privatized lanes";
-    s.params.push_back({"radix_bits",
-                        {2, 4, 8},
-                        static_cast<long>(primitives::kDefaultRadixBits),
-                        false,
-                        "LSD digit width; wider digits mean fewer passes but "
-                        "bigger privatized histograms"});
-    s.params.push_back({"chunk",
-                        {2048, 4096, 8192, 16384, 32768},
-                        static_cast<long>(primitives::kDefaultSortChunk),
-                        false,
-                        "elements per count/scatter block tile"});
-    s.params.push_back({"lanes",
-                        {8, 16, 32, 64},
-                        static_cast<long>(primitives::kDefaultSortLanes),
-                        false,
-                        "lanes per block (clamped by shared-memory limit)"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    // Device-wide scan/reduce schedule.  The association unit (segment)
-    // is FROZEN — fp results are a pure function of (T, op, n, segment),
-    // exactly the gemm kc contract — while chunk/lanes/items_per_lane
-    // only remap segments onto blocks and lanes.
-    SpaceDesc s;
-    s.name = "primitives-scan";
-    s.what = "device scan/reduce: block tile, lanes, reduce grain";
-    s.params.push_back({"chunk",
-                        {1024, 2048, 4096, 8192, 16384},
-                        static_cast<long>(primitives::kDefaultScanChunk),
-                        false,
-                        "elements per scan block tile (whole segments)"});
-    s.params.push_back({"lanes",
-                        {32, 64, 128, 256},
-                        static_cast<long>(primitives::kDefaultLanes),
-                        false,
-                        "lanes per block for the partials passes"});
-    s.params.push_back({"items_per_lane",
-                        {1, 2, 4, 8},
-                        static_cast<long>(primitives::kDefaultItemsPerLane),
-                        false,
-                        "segments each lane folds in the reduce pass"});
-    s.params.push_back({"segment",
-                        {static_cast<long>(primitives::kSegment)},
-                        static_cast<long>(primitives::kSegment),
-                        true,
-                        "ORDER-AFFECTING: fp slice-fold unit; frozen like "
-                        "gemm kc"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    SpaceDesc s;
-    s.name = "gpu-unroll";
-    s.what = "modeled GPU inner-loop unroll factor (paper Fig. 5 ablation)";
-    s.params.push_back({"unroll",
-                        {1, 2, 4, 8},
-                        4,
-                        false,
-                        "the paper's A100-vs-MI250X knob; objective is the "
-                        "perfmodel sustained-issue model"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    SpaceDesc s;
-    s.name = "gpu-block";
-    s.what = "modeled GPU block edge for the tiled device GEMM";
-    s.params.push_back({"block_edge",
-                        {4, 8, 16, 32},
-                        32,
-                        false,
-                        "square block edge; objective couples occupancy, DRAM "
-                        "traffic and coalescing expansion"});
     spaces.push_back(std::move(s));
   }
 

@@ -3,9 +3,10 @@
 //
 // The paper's A100-vs-MI250X result (unroll-2 vs unroll-4 winning on
 // different GPUs, Godoy et al. Section IV) is the motivating fact: the
-// best configuration is machine-dependent, so the knobs that used to be
-// compile-time constants are described here as searchable spaces and
-// resolved per machine by the autotuner (docs/TUNING.md).
+// best configuration is machine-dependent, so the schedule knobs a run
+// reads — the tiled-GEMM row block and SIMD tier, and the serve batch
+// size — are described here as searchable spaces and resolved per
+// machine by the autotuner (docs/TUNING.md).
 //
 // Determinism contract: a parameter is *frozen* when varying it would
 // change floating-point combination order (e.g. the GEMM KC blocking).
@@ -57,9 +58,9 @@ using Config = std::map<std::string, long>;
 [[nodiscard]] long config_value(const SpaceDesc& space, const Config& config,
                                 std::string_view name);
 
-/// All tunable spaces this build knows about.  Built once per process;
-/// the gemm-tile tier candidates are limited to what the host can
-/// actually dispatch, so a cached winner is always runnable locally
+/// The tunable spaces, `gemm-tile` and `serve-batch`.  Built once per
+/// process; the gemm-tile tier candidates are limited to what the host
+/// can actually dispatch, so a cached winner is always runnable locally
 /// (cross-machine staleness is handled by the fingerprint, cache.hpp).
 [[nodiscard]] const std::vector<SpaceDesc>& registry();
 

@@ -11,14 +11,14 @@
 // freed outside reset_for_testing(), which is why returning references
 // into them is safe.
 //
+// A cache entry is applied only when its config is a point of the
+// registry space (config_valid): a hand-edited or stale entry — a moved
+// frozen kc, a batch size off the candidate list — resolves to the
+// default, exactly like a missing one.
+//
 // Environment:
 //   PORTABENCH_TUNE_CACHE    path of the persisted cache to consult
 //   PORTABENCH_TUNE_DISABLE  "1" = ignore the cache, run pure defaults
-//
-// Process-wide scheduling knobs (simrt dispatch + gpusim launch) are not
-// per-call lookups; apply_process_tunables() pushes cached winners into
-// simrt/gpusim tunables once, with explicit PORTABENCH_TUNE_* env
-// overrides keeping precedence over the cache.
 #pragma once
 
 #include <atomic>
@@ -29,9 +29,6 @@
 #include "cache.hpp"
 #include "common/precision.hpp"
 #include "gemm/kernels_tiled.hpp"
-#include "primitives/reduce.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/sort.hpp"
 
 namespace portabench::tune {
 
@@ -46,33 +43,14 @@ class Tuned {
   [[nodiscard]] static Tuned& instance();
 
   /// Tuned tiled-GEMM schedule for one (precision, serve size-class)
-  /// bucket; TileConfig{} when the cache has no matching entry for this
-  /// machine.  Warm calls: one acquire load, zero allocation.
+  /// bucket; TileConfig{} when the cache has no valid matching entry
+  /// for this machine.  Warm calls: one acquire load, zero allocation.
   [[nodiscard]] const gemm::TileConfig& gemm_tile(Precision p,
                                                   std::uint32_t size_class) noexcept;
 
-  /// Tuned ServeEngine batch size, or `fallback` when untuned.
+  /// Tuned ServeEngine batch size, or `fallback` when untuned (or when
+  /// the cached value is not a registry candidate).
   [[nodiscard]] std::size_t serve_batch_jobs(std::size_t fallback) noexcept;
-
-  /// Tuned device radix-sort schedule ("primitives-radix" space)
-  /// overlaid on `fallback`.  Every knob is schedule-only: the sorted
-  /// output is identical for any valid config.
-  [[nodiscard]] primitives::SortConfig radix_sort_config(
-      primitives::SortConfig fallback = {}) noexcept;
-
-  /// Tuned device scan schedule ("primitives-scan" space: chunk, lanes).
-  [[nodiscard]] primitives::ScanConfig scan_config(
-      primitives::ScanConfig fallback = {}) noexcept;
-
-  /// Tuned device reduce schedule ("primitives-scan" space: lanes,
-  /// items_per_lane).
-  [[nodiscard]] primitives::ReduceConfig reduce_config(
-      primitives::ReduceConfig fallback = {}) noexcept;
-
-  /// Push cached "dispatch" / "launch" winners into the simrt and gpusim
-  /// runtime tunables.  Explicit PORTABENCH_TUNE_* environment variables
-  /// win over the cache (a set variable blocks the cache for that knob).
-  void apply_process_tunables() noexcept;
 
   // -- diagnostics / test hooks --------------------------------------
 

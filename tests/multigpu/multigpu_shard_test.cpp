@@ -319,6 +319,11 @@ TEST(DeviceCounters, PerDeviceTransferTalliesAndReset) {
 
   gpusim::copy_to_device_async(s0, a, 0, std::span<const double>(host.data(), 16));
   gpusim::peer_copy_async(s0, b, 0, a, 0, 16);
+  // s1's D2H reads b and overwrites host: order it after s0's H2D (which
+  // reads host) and peer copy (which writes b).
+  gpusim::Event copied;
+  s0.record(copied);
+  s1.wait(copied);
   gpusim::copy_to_host_async(s1, std::span<double>(host), b, 0);
   s0.synchronize();
   s1.synchronize();

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -259,6 +260,38 @@ TEST(DispatchStress, TemplatedRunAvoidsFunctionWrapper) {
   pool.run(task);
   const std::vector<int> expected{1, 2, 3};
   EXPECT_EQ(counts, expected);
+}
+
+TEST(DispatchStress, InlineAndForkedLanesGiveIdenticalBytes) {
+  // Fork elision changes only where lanes execute: the same lane task,
+  // with per-lane partials joined in lane order, must give identical
+  // bytes inline on the caller (run_auto below the cutoff) and forked
+  // across the team (run).
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kN = 4097;  // odd: unequal lane blocks
+  ThreadPool pool(kLanes);
+  const auto lane_joined_sum = [&](bool forked) {
+    std::vector<double> partial(kLanes, 0.0);
+    auto task = [&partial](std::size_t lane) {
+      const detail::Block block = detail::static_block(kN, partial.size(), lane);
+      double acc = 0.0;
+      for (std::size_t i = block.begin; i < block.end; ++i) {
+        acc += 1.0 / (1.0 + static_cast<double>(i));
+      }
+      partial[lane] = acc;
+    };
+    if (forked) {
+      pool.run(task);
+    } else {
+      pool.run_auto(task, 0);
+    }
+    double sum = 0.0;
+    for (const double p : partial) sum += p;
+    return sum;
+  };
+  const double inline_sum = lane_joined_sum(false);
+  const double forked_sum = lane_joined_sum(true);
+  EXPECT_EQ(std::memcmp(&inline_sum, &forked_sum, sizeof(double)), 0);
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(TuningCache, SaveLoadRoundTrip) {
   const std::string path = temp_path("roundtrip.json");
   TuningCache cache;
   cache.put(entry_for(0xabcdef0123456789ull));
-  cache.put(entry_for(0xabcdef0123456789ull, "dispatch", "-", 0));
+  cache.put(entry_for(0xabcdef0123456789ull, "serve-batch", "-", 0));
   ASSERT_TRUE(cache.save(path));
 
   TuningCache loaded;
@@ -127,11 +127,11 @@ TEST(TuningCache, SchemaViolationPoisonsWholeFile) {
   // partial trust in a tuning cache is worse than none.
   const std::string text =
       "{\"schema_version\": 1, \"entries\": ["
-      "{\"space\":\"dispatch\",\"precision\":\"-\",\"size_class\":0,"
-      "\"fingerprint\":\"0x1\",\"machine\":\"m\",\"config\":{\"fork_cutoff\":1024},"
+      "{\"space\":\"serve-batch\",\"precision\":\"-\",\"size_class\":0,"
+      "\"fingerprint\":\"0x1\",\"machine\":\"m\",\"config\":{\"batch_jobs\":64},"
       "\"tuned_ms\":1,\"default_ms\":2},"
-      "{\"space\":\"dispatch\",\"precision\":\"-\",\"size_class\":0,"
-      "\"fingerprint\":\"0x2\",\"machine\":\"m\",\"config\":{\"fork_cutoff\":\"fast\"},"
+      "{\"space\":\"serve-batch\",\"precision\":\"-\",\"size_class\":0,"
+      "\"fingerprint\":\"0x2\",\"machine\":\"m\",\"config\":{\"batch_jobs\":\"fast\"},"
       "\"tuned_ms\":1,\"default_ms\":2}"
       "]}";
   TuningCache cache;
@@ -313,6 +313,47 @@ TEST_F(TunedResolver, ServeBatchJobsFallsBackWhenUntuned) {
   ASSERT_TRUE(cache.save(path));
   tuned.reset_for_testing(path);
   EXPECT_EQ(tuned.serve_batch_jobs(32), 64u);
+  std::remove(path.c_str());
+}
+
+// A local entry the registry forbids resolves like a miss: a moved kc
+// would change the fp accumulation order of every served GEMM.
+TEST_F(TunedResolver, FrozenKcOffItsDefaultResolvesToDefaults) {
+  const std::string path = temp_path("tuned_kc.json");
+  TuningCache cache;
+  CacheEntry e = entry_for(fingerprint_hash(local_fingerprint()));
+  e.size_class = 7;
+  e.config["kc"] = 64;
+  cache.put(e);
+  ASSERT_TRUE(cache.save(path));
+
+  Tuned& tuned = Tuned::instance();
+  tuned.reset_for_testing(path);
+  const gemm::TileConfig& cfg = tuned.gemm_tile(Precision::kDouble, 7);
+  EXPECT_EQ(cfg.mc, gemm::TileConfig{}.mc);
+  EXPECT_EQ(cfg.kc, gemm::TileConfig{}.kc);
+  EXPECT_EQ(cfg.tier, gemm::TileConfig{}.tier);
+  std::remove(path.c_str());
+}
+
+// A batch size off the candidate list degrades to the fallback instead of
+// reaching the ServeEngine constructor (where 2^40 jobs cannot allocate).
+TEST_F(TunedResolver, BatchJobsOffTheCandidateListFallsBack) {
+  const std::string path = temp_path("tuned_batch_huge.json");
+  TuningCache cache;
+  CacheEntry e;
+  e.space = "serve-batch";
+  e.precision = "-";
+  e.size_class = 0;
+  e.fingerprint = fingerprint_hash(local_fingerprint());
+  e.machine = "here";
+  e.config = {{"batch_jobs", 1L << 40}};
+  cache.put(e);
+  ASSERT_TRUE(cache.save(path));
+
+  Tuned& tuned = Tuned::instance();
+  tuned.reset_for_testing(path);
+  EXPECT_EQ(tuned.serve_batch_jobs(32), 32u);
   std::remove(path.c_str());
 }
 

@@ -54,9 +54,9 @@ bool rng_exempt(const FileUnit& u) {
 }
 
 // tn-magic-tile exemptions: the tuning registry (src/tune/) is where
-// schedule constants legitimately live, the simrt/gpusim tunables
-// modules define the compiled-in defaults the registry pins, and tests
-// freely pin schedules to make scenarios reproducible.
+// searched schedule knobs live, the tunables modules (simrt, gpusim,
+// primitives) name the fixed schedule constants, and tests freely pin
+// schedules to make scenarios reproducible.
 bool tn_exempt(const FileUnit& u) {
   if (u.is_fixture) return false;
   return u.has_component("tune") || u.rel.find("tunables") != std::string::npos ||
@@ -587,8 +587,8 @@ void rule_include_cycle(const Project& p, std::vector<Finding>& out) {
 // A schedule knob (tile/chunk/grain/cutoff/unroll/batch/block size)
 // assigned a bare nonzero integer literal is a tuning decision frozen
 // into source.  Those belong in the src/tune registry (searched, cached
-// per machine) or the tunables modules; everything else should resolve
-// through them.  Zero is exempt — it is the conventional "resolve at
+// per machine) or the tunables modules (named once); everything else
+// should resolve through them.  Zero is exempt — it is the conventional "resolve at
 // runtime" sentinel.
 
 bool tn_knob_ident(const std::string& name) {

@@ -2,15 +2,16 @@
 //
 //   portatune tune   [--spaces=a,b] [--cache=F] [--budget-ms=N] [--n=N]
 //   portatune show   [--cache=F]
-//   portatune verify [--cache=F] [--reps=N]
+//   portatune verify [--cache=F] [--reps=N] [--n=N]
 //
 // `tune` searches each requested registry space with the same harness
 // the benches use (default measured first, IQR noise floor, hill-climb
 // on large spaces) and merges the winners into the cache keyed by this
 // machine's fingerprint.  `show` prints the cache against the registry.
-// `verify` re-measures every local-fingerprint entry against the space
-// default and fails if a cached winner has gone stale (slower than the
-// default beyond the re-measured noise floor).
+// `verify` re-measures every local-fingerprint entry whose key matches a
+// workload at `--n` against the space default and fails if a cached
+// winner has gone stale (slower than the default beyond the re-measured
+// noise floor); entries tuned at another size class are skipped.
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -22,7 +23,6 @@
 #include "serve/job.hpp"
 #include "tune/cache.hpp"
 #include "tune/fingerprint.hpp"
-#include "tune/model_objectives.hpp"
 #include "tune/objectives.hpp"
 #include "tune/params.hpp"
 #include "tune/search.hpp"
@@ -39,7 +39,6 @@ struct Workload {
   std::string precision = "-";   // cache key ("FP64"... or "-")
   std::uint32_t size_class = 0;
   Objective objective;
-  bool deterministic = false;    // modeled objective: exact, zero floor
 };
 
 /// Every tunable workload this host can run, at GEMM edge `n`.
@@ -47,26 +46,9 @@ std::vector<Workload> all_workloads(std::size_t n) {
   std::vector<Workload> out;
   const std::uint32_t sc = serve::size_class(static_cast<std::uint32_t>(n));
   for (const Precision p : {Precision::kDouble, Precision::kSingle, Precision::kHalfIn}) {
-    out.push_back({"gemm-tile", std::string(name(p)), sc,
-                   gemm_tile_objective(p, n), false});
+    out.push_back({"gemm-tile", std::string(name(p)), sc, gemm_tile_objective(p, n)});
   }
-  out.push_back({"dispatch", "-", 0, dispatch_objective(), false});
-  out.push_back({"launch", "-", 0, launch_objective(), false});
-  out.push_back({"serve-batch", "-", 0, serve_batch_objective(), false});
-  out.push_back({"primitives-radix", "-", 0, primitives_radix_objective(), false});
-  out.push_back({"primitives-scan", "-", 0, primitives_scan_objective(), false});
-  out.push_back({"gpu-unroll", "-", 0,
-                 [](const Config& c) {
-                   return modeled_unroll_cost(config_value(
-                       *find_space("gpu-unroll"), c, "unroll"));
-                 },
-                 true});
-  out.push_back({"gpu-block", "-", 0,
-                 [](const Config& c) {
-                   return modeled_block_cost(config_value(
-                       *find_space("gpu-block"), c, "block_edge"));
-                 },
-                 true});
+  out.push_back({"serve-batch", "-", 0, serve_batch_objective()});
   return out;
 }
 
@@ -133,9 +115,7 @@ int cmd_tune(const CliParser& cli) {
     if (!wanted(w.space, filter)) continue;
     const SpaceDesc* space = find_space(w.space);
     if (space == nullptr) continue;
-    SearchOptions wopt = opt;
-    wopt.deterministic = w.deterministic;
-    const TuneResult r = tune_space(*space, w.objective, wopt);
+    const TuneResult r = tune_space(*space, w.objective, opt);
 
     CacheEntry e;
     e.space = w.space;
@@ -214,30 +194,37 @@ int cmd_verify(const CliParser& cli) {
   std::vector<Workload> workloads = all_workloads(n);
   int checked = 0;
   int stale = 0;
+  int skipped = 0;
   for (const CacheEntry& e : cache.entries()) {
     if (e.fingerprint != local) continue;
     const SpaceDesc* space = find_space(e.space);
     if (space == nullptr) continue;
     Workload* w = nullptr;
     for (Workload& cand : workloads) {
-      if (cand.space == e.space && cand.precision == e.precision) w = &cand;
+      if (cand.space == e.space && cand.precision == e.precision &&
+          cand.size_class == e.size_class) {
+        w = &cand;
+      }
     }
-    if (w == nullptr) continue;
+    if (w == nullptr) {
+      ++skipped;  // tuned at another size class than --n measures
+      continue;
+    }
 
-    const int eff_reps = w->deterministic ? 1 : reps;
     const Config defaults = default_config(*space);
-    const Measurement dm =
-        measure([&] { return w->objective(defaults); }, eff_reps, w->deterministic ? 0 : 1);
-    const Measurement tm =
-        measure([&] { return w->objective(e.config); }, eff_reps, w->deterministic ? 0 : 1);
+    const Measurement dm = measure([&] { return w->objective(defaults); }, reps, 1);
+    const Measurement tm = measure([&] { return w->objective(e.config); }, reps, 1);
     ++checked;
-    const bool ok = tm.median_ms <= dm.median_ms + dm.noise_ms;
+    // The search's adoption floor: max(IQR, 2% of the default's median).
+    const double floor = std::max(dm.noise_ms, 0.02 * dm.median_ms);
+    const bool ok = tm.median_ms <= dm.median_ms + floor;
     if (!ok) ++stale;
     std::printf("%-11s %-5s  tuned %8.3f ms vs default %8.3f ms (floor %.3f)  %s\n",
-                e.space.c_str(), e.precision.c_str(), tm.median_ms, dm.median_ms,
-                dm.noise_ms, ok ? "ok" : "STALE");
+                e.space.c_str(), e.precision.c_str(), tm.median_ms, dm.median_ms, floor,
+                ok ? "ok" : "STALE");
   }
-  std::printf("%d entr%s checked, %d stale\n", checked, checked == 1 ? "y" : "ies", stale);
+  std::printf("%d entr%s checked, %d stale, %d skipped (size class differs from --n)\n",
+              checked, checked == 1 ? "y" : "ies", stale, skipped);
   return stale == 0 ? 0 : 1;
 }
 
