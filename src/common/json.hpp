@@ -3,11 +3,12 @@
 // Downstream tooling (plotting the figure series, CI regression tracking)
 // consumes structured results; the writer covers the subset needed —
 // objects, arrays, strings, numbers, booleans — with correct string
-// escaping and shortest-round-trip double formatting.  The parser exists
-// for exactly one consumer: the persisted tuning cache (docs/TUNING.md),
-// which must load files that may be corrupt, truncated, or stale — so
-// parse_json() reports failure through JsonParseResult instead of
-// throwing, and the tuning layer degrades to an empty cache.
+// escaping and shortest-round-trip double formatting.  The parser's
+// consumer is bench/e2e: `--compare` reads result files and the parent
+// reads each measurement child's last output line, either of which may
+// be missing, truncated, or not an artifact at all — so parse_json()
+// reports failure through JsonParseResult instead of throwing, and the
+// caller reports which input was bad.
 #pragma once
 
 #include <map>
@@ -126,8 +127,8 @@ class JsonValue {
   Object obj_;
 };
 
-/// Outcome of parse_json: `value` is set iff `ok`.  Never throws — the
-/// tuning-cache loader must survive arbitrary on-disk garbage.
+/// Outcome of parse_json: `value` is set iff `ok`.  Never throws — a
+/// reader of bench artifacts must survive arbitrary on-disk garbage.
 struct JsonParseResult {
   bool ok = false;
   JsonValue value;

@@ -64,40 +64,30 @@ namespace portabench::gemm {
 
 namespace tiled {
 
-// These are the *defaults* TileConfig starts from; the autotuner
-// (src/tune/params.hpp) owns the candidate ranges.
-// portalint: tn-magic-tile-ok(TileConfig defaults; the tuning registry in src/tune/params.hpp pins these)
+// The blocking constants, named once here for every tiled-GEMM caller.
+// portalint: tn-magic-tile-ok(the tiled GEMM's blocking constants; their one home)
 inline constexpr std::size_t kMR = 4;     ///< micro-tile rows (register block)
-// portalint: tn-magic-tile-ok(TileConfig defaults; the tuning registry in src/tune/params.hpp pins these)
+// portalint: tn-magic-tile-ok(the tiled GEMM's blocking constants; their one home)
 inline constexpr std::size_t kNR = 8;     ///< micro-tile columns (scalar/AVX2 panel width)
-// portalint: tn-magic-tile-ok(TileConfig defaults; the tuning registry in src/tune/params.hpp pins these)
+// portalint: tn-magic-tile-ok(the tiled GEMM's blocking constants; their one home)
 inline constexpr std::size_t kNRMax = 16; ///< widest panel any tier uses (AVX-512 float)
-// portalint: tn-magic-tile-ok(TileConfig defaults; the tuning registry in src/tune/params.hpp pins these)
+// portalint: tn-magic-tile-ok(the tiled GEMM's blocking constants; their one home)
 inline constexpr std::size_t kKC = 256;   ///< k blocking (packed panel depth)
-// portalint: tn-magic-tile-ok(TileConfig defaults; the tuning registry in src/tune/params.hpp pins these)
+// portalint: tn-magic-tile-ok(the tiled GEMM's blocking constants; their one home)
 inline constexpr std::size_t kMC = 64;    ///< m blocking (rows per parallel unit)
 
 }  // namespace tiled
 
-/// Schedule parameters for the tiled GEMM, produced by the autotuner
-/// (src/tune, docs/TUNING.md); the defaults reproduce the historical
-/// compile-time constants, so `TileConfig{}` is always valid.
+/// Row blocking of one tiled-GEMM call; `TileConfig{}` is the schedule
+/// every library caller runs.
 ///
-/// Determinism contract: only order-free knobs are searchable.
-///   - mc: rows per parallel/serial unit — pure work partitioning; each
-///     C(i,j) still accumulates its l-terms in the same order.
-///   - tier: micro-kernel SIMD tier (-1 = host dispatch tier); every
-///     tier is contract-pinned bit-identical to scalar, so this is a
-///     speed knob, not a semantics knob.  Unavailable tiers fall back
-///     to the host dispatch tier.
-///   - kc is ORDER-AFFECTING (C is read/add/written once per KC block,
-///     so the pc grouping changes fp combination order); the registry
-///     freezes it at the default.  It is carried here so scratch sizing
-///     and the loops agree on one value, not so the search varies it.
+/// mc is rows per parallel/serial unit: pure work partitioning, so any
+/// mc > 0 gives bit-identical C (each C(i,j) still accumulates its
+/// l-terms in the same KC-block order).  The k blocking is the constant
+/// tiled::kKC, not a field: it sets the fp combination order, since C is
+/// read, added and written once per KC block.
 struct TileConfig {
   std::size_t mc = tiled::kMC;
-  std::size_t kc = tiled::kKC;
-  int tier = -1;
 };
 
 namespace tiled_detail {
@@ -237,17 +227,6 @@ template <class Acc>
   return mk;
 }
 
-/// Micro-kernel a TileConfig asks for: the host dispatch tier when
-/// cfg.tier is -1 (or names a tier this host cannot run), otherwise the
-/// requested tier.  Every choice is bit-identical by the SIMD contract.
-template <class Acc>
-[[nodiscard]] inline MicroKernel<Acc> microkernel_for_config(const TileConfig& cfg) noexcept {
-  if (cfg.tier < 0) return pick_microkernel<Acc>();
-  const auto tier = static_cast<simrt::SimdTier>(cfg.tier);
-  if (!simrt::simd_tier_available(tier)) return pick_microkernel<Acc>();
-  return microkernel_for_tier<Acc>(tier);
-}
-
 /// True when V exposes raw row-major storage (data() + stride()) whose
 /// rows the batched converters can walk.  Deliberately excludes wrapper
 /// views without data() — portacheck's ShadowView2 keeps per-element
@@ -283,11 +262,10 @@ void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
   const std::size_t n = B.extent(1);
   PB_EXPECTS(B.extent(0) == k);
   PB_EXPECTS(C.extent(0) == m && C.extent(1) == n);
-  PB_EXPECTS(cfg.mc > 0 && cfg.kc > 0);
+  PB_EXPECTS(cfg.mc > 0);
   if (m == 0 || n == 0 || k == 0) return;
 
-  const td::MicroKernel<Acc> mk = td::microkernel_for_config<Acc>(cfg);
-  const std::size_t kc_blk = cfg.kc;
+  const td::MicroKernel<Acc> mk = td::pick_microkernel<Acc>();
   const std::size_t mc_blk = cfg.mc;
   const std::size_t nr_panel = mk.nr;
   const std::size_t n_panels = (n + nr_panel - 1) / nr_panel;
@@ -295,10 +273,10 @@ void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
 
   // Shared packed-B storage for one KC step: n_panels panels, each a
   // kc x nr_panel slab in row-major panel order (zero-padded to nr_panel).
-  std::vector<Acc> Bp(n_panels * kc_blk * nr_panel);
+  std::vector<Acc> Bp(n_panels * kKC * nr_panel);
 
-  for (std::size_t pc = 0; pc < k; pc += kc_blk) {
-    const std::size_t kc = std::min(kc_blk, k - pc);
+  for (std::size_t pc = 0; pc < k; pc += kKC) {
+    const std::size_t kc = std::min(kKC, k - pc);
 
     // Pack B serially: read-only inside the parallel region below.
     bool b_packed = false;
@@ -310,7 +288,7 @@ void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
         for (std::size_t l = 0; l < kc; ++l) {
           convert_n(B.data() + (pc + l) * B.stride(0), rowbuf.data(), n);
           for (std::size_t jp = 0; jp < n_panels; ++jp) {
-            Acc* row = Bp.data() + jp * kc_blk * nr_panel + l * nr_panel;
+            Acc* row = Bp.data() + jp * kKC * nr_panel + l * nr_panel;
             const std::size_t j0 = jp * nr_panel;
             const std::size_t nr = std::min(nr_panel, n - j0);
             std::memcpy(row, rowbuf.data() + j0, nr * sizeof(Acc));
@@ -322,7 +300,7 @@ void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
     }
     if (!b_packed) {
       for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        Acc* panel = Bp.data() + jp * kc_blk * nr_panel;
+        Acc* panel = Bp.data() + jp * kKC * nr_panel;
         const std::size_t j0 = jp * nr_panel;
         const std::size_t nr = std::min(nr_panel, n - j0);
         for (std::size_t l = 0; l < kc; ++l) {
@@ -377,7 +355,7 @@ void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
       }
 
       for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        const Acc* bp = Bp.data() + jp * kc_blk * nr_panel;
+        const Acc* bp = Bp.data() + jp * kKC * nr_panel;
         const std::size_t j0 = jp * nr_panel;
         const std::size_t nr = std::min(nr_panel, n - j0);
         for (std::size_t ip = 0; ip < m_panels; ++ip) {
@@ -437,9 +415,9 @@ template <class Acc>
                                                              const TileConfig& cfg = {}) {
   using namespace tiled;
   (void)k;  // panels are bounded by the KC blocking, not total depth
-  const std::size_t bp = (n + kNRMax) * cfg.kc;                    // packed B
-  const std::size_t ap = (std::min(m, cfg.mc) + kMR) * cfg.kc;     // packed A
-  const std::size_t rowbuf = std::max(n, cfg.kc);                  // half convert staging
+  const std::size_t bp = (n + kNRMax) * kKC;                       // packed B
+  const std::size_t ap = (std::min(m, cfg.mc) + kMR) * kKC;        // packed A
+  const std::size_t rowbuf = std::max(n, kKC);                     // half convert staging
   return (bp + ap + rowbuf) * sizeof(Acc) + 3 * 64;                // + alignment slack
 }
 
@@ -456,12 +434,11 @@ void gemm_tiled_serial_scratch(const VA& A, const VB& B, VC& C, std::span<std::b
   const std::size_t n = B.extent(1);
   PB_EXPECTS(B.extent(0) == k);
   PB_EXPECTS(C.extent(0) == m && C.extent(1) == n);
-  PB_EXPECTS(cfg.mc > 0 && cfg.kc > 0);
+  PB_EXPECTS(cfg.mc > 0);
   if (m == 0 || n == 0 || k == 0) return;
   PB_EXPECTS(scratch.size() >= gemm_tiled_scratch_bytes<Acc>(m, n, k, cfg));
 
-  const td::MicroKernel<Acc> mk = td::microkernel_for_config<Acc>(cfg);
-  const std::size_t kc_blk = cfg.kc;
+  const td::MicroKernel<Acc> mk = td::pick_microkernel<Acc>();
   const std::size_t mc_blk = cfg.mc;
   const std::size_t nr_panel = mk.nr;
   const std::size_t n_panels = (n + nr_panel - 1) / nr_panel;
@@ -470,14 +447,14 @@ void gemm_tiled_serial_scratch(const VA& A, const VB& B, VC& C, std::span<std::b
   // Carve the three packing areas out of the scratch span.
   std::byte* cursor = td::scratch_align(scratch.data(), 64);
   Acc* const Bp = reinterpret_cast<Acc*>(cursor);
-  cursor = td::scratch_align(cursor + n_panels * kc_blk * nr_panel * sizeof(Acc), 64);
+  cursor = td::scratch_align(cursor + n_panels * kKC * nr_panel * sizeof(Acc), 64);
   Acc* const Ap = reinterpret_cast<Acc*>(cursor);
   cursor = td::scratch_align(
-      cursor + ((std::min(m, mc_blk) + kMR) / kMR) * kc_blk * kMR * sizeof(Acc), 64);
+      cursor + ((std::min(m, mc_blk) + kMR) / kMR) * kKC * kMR * sizeof(Acc), 64);
   Acc* const rowbuf = reinterpret_cast<Acc*>(cursor);
 
-  for (std::size_t pc = 0; pc < k; pc += kc_blk) {
-    const std::size_t kc = std::min(kc_blk, k - pc);
+  for (std::size_t pc = 0; pc < k; pc += kKC) {
+    const std::size_t kc = std::min(kKC, k - pc);
 
     bool b_packed = false;
     if constexpr (td::batched_pack_ok_v<VB, Acc>) {
@@ -485,7 +462,7 @@ void gemm_tiled_serial_scratch(const VA& A, const VB& B, VC& C, std::span<std::b
         for (std::size_t l = 0; l < kc; ++l) {
           convert_n(B.data() + (pc + l) * B.stride(0), rowbuf, n);
           for (std::size_t jp = 0; jp < n_panels; ++jp) {
-            Acc* row = Bp + jp * kc_blk * nr_panel + l * nr_panel;
+            Acc* row = Bp + jp * kKC * nr_panel + l * nr_panel;
             const std::size_t j0 = jp * nr_panel;
             const std::size_t nr = std::min(nr_panel, n - j0);
             std::memcpy(row, rowbuf + j0, nr * sizeof(Acc));
@@ -497,7 +474,7 @@ void gemm_tiled_serial_scratch(const VA& A, const VB& B, VC& C, std::span<std::b
     }
     if (!b_packed) {
       for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        Acc* panel = Bp + jp * kc_blk * nr_panel;
+        Acc* panel = Bp + jp * kKC * nr_panel;
         const std::size_t j0 = jp * nr_panel;
         const std::size_t nr = std::min(nr_panel, n - j0);
         for (std::size_t l = 0; l < kc; ++l) {
@@ -547,7 +524,7 @@ void gemm_tiled_serial_scratch(const VA& A, const VB& B, VC& C, std::span<std::b
       }
 
       for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        const Acc* bp = Bp + jp * kc_blk * nr_panel;
+        const Acc* bp = Bp + jp * kKC * nr_panel;
         const std::size_t j0 = jp * nr_panel;
         const std::size_t nr = std::min(nr_panel, n - j0);
         for (std::size_t ip = 0; ip < m_panels; ++ip) {
@@ -587,21 +564,20 @@ struct GemmBatchItem {
 /// bit-identical to gemm_tiled(SerialSpace) on the same operands.
 template <class T, class Acc>
 void gemm_tiled_batched(gpusim::LaunchEngine& engine,
-                        std::span<const GemmBatchItem<T, Acc>> items,
-                        const TileConfig& cfg = {}) {
+                        std::span<const GemmBatchItem<T, Acc>> items) {
   std::size_t total_threads = 0;
   for (const auto& item : items) total_threads += item.n * item.n;
   gpusim::run_batch(engine, items.size(), total_threads,
-                    [&engine, items, cfg](std::size_t worker, std::size_t idx) {
+                    [&engine, items](std::size_t worker, std::size_t idx) {
                       const GemmBatchItem<T, Acc>& item = items[idx];
                       if (item.n == 0) return;
                       const std::size_t bytes =
-                          gemm_tiled_scratch_bytes<Acc>(item.n, item.n, item.n, cfg);
+                          gemm_tiled_scratch_bytes<Acc>(item.n, item.n, item.n);
                       auto scratch = gpusim::batch_scratch(engine, worker, bytes);
                       const simrt::RawView2<const T> A(item.a, item.n, item.n);
                       const simrt::RawView2<const T> B(item.b, item.n, item.n);
                       simrt::RawView2<Acc> C(item.c, item.n, item.n);
-                      gemm_tiled_serial_scratch<Acc>(A, B, C, scratch, cfg);
+                      gemm_tiled_serial_scratch<Acc>(A, B, C, scratch);
                     });
 }
 

@@ -10,11 +10,11 @@
 //
 // Bitwise contract: inside gemm_tiled_serial_scratch, the accumulation
 // order of any C(i,j) is the KC-block sequence over k — it does not
-// depend on how rows are grouped into MC blocks or panels.  KC is a
-// frozen fp-order knob (src/tune/params), so every panel split, every
-// device count, and every per-device MC choice produces bit-identical C
-// to the single-device serial oracle (gemm_tiled_serial_scratch over the
-// whole matrix).  tests/multigpu pins exactly that.
+// depend on how rows are grouped into MC blocks or panels.  KC is the
+// constant gemm::tiled::kKC, so every panel split and every device count
+// produces bit-identical C to the single-device serial oracle
+// (gemm_tiled_serial_scratch over the whole matrix).  tests/multigpu
+// pins exactly that.
 #pragma once
 
 #include <algorithm>
@@ -32,17 +32,13 @@
 namespace portabench::multigpu {
 
 struct GemmShardOptions {
-  std::size_t panel_rows = 0;  ///< 0: 2 * tile.mc
+  std::size_t panel_rows = 0;  ///< 0: 2 * gemm::tiled::kMC
   bool overlap = true;
   /// Stage host panels from each device's own NUMA domain (the pinned
   /// placement makes this the natural home); false models naive staging
   /// where everything lives in domain 0 and remote devices pay the
   /// cross-socket H2D link.
   bool numa_aware_staging = true;
-  /// Tile schedule per device; index d used for device d (empty: default
-  /// TileConfig for every device).  MC is pure work partitioning —
-  /// per-device tiles cannot break the bitwise contract (KC is frozen).
-  std::vector<gemm::TileConfig> tiles;
 };
 
 /// C = A * B (C overwritten), sharded across every device of `topo`.
@@ -61,14 +57,10 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
   PB_EXPECTS(A.stride(1) == 1 && A.stride(0) == k);
   PB_EXPECTS(B.stride(1) == 1 && B.stride(0) == n);
   PB_EXPECTS(C.stride(1) == 1 && C.stride(0) == n);
-  PB_EXPECTS(opt.tiles.empty() || opt.tiles.size() >= topo.devices());
 
-  const gemm::TileConfig default_tile{};
-  const auto tile_of = [&](std::size_t d) -> const gemm::TileConfig& {
-    return opt.tiles.empty() ? default_tile : opt.tiles[d];
-  };
+  constexpr std::size_t mc = gemm::tiled::kMC;
   std::size_t panel_rows = opt.panel_rows;
-  if (panel_rows == 0) panel_rows = 2 * tile_of(0).mc;
+  if (panel_rows == 0) panel_rows = 2 * mc;
   if (m == 0 || n == 0 || k == 0) return {};
 
   const ShardPlan plan = ShardPlan::rows(m, panel_rows, topo.devices());
@@ -108,7 +100,6 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
   const auto compute = [&](gpusim::Stream& s, std::size_t d, std::size_t kk,
                            std::size_t slot) {
     const Panel& p = plan.panel(d, kk);
-    const gemm::TileConfig tile = tile_of(d);
     T* a_ptr = dev[d].a_slots[slot].data();
     T* c_ptr = dev[d].c_slots[slot].data();
     T* b_ptr = dev[d].b.data();
@@ -120,20 +111,19 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
       // One MC row block per batch item: per-element accumulation order
       // is KC-major regardless of the row grouping, so this forked
       // schedule matches the serial oracle bit for bit.
-      const std::size_t blocks = (rows + tile.mc - 1) / tile.mc;
+      const std::size_t blocks = (rows + mc - 1) / mc;
       ctx->note_launch(gpusim::Dim3{blocks, 1, 1},
                        gpusim::Dim3{ctx->spec().warp_size, 1, 1});
       std::memset(c_ptr, 0, rows * n * sizeof(T));
       gpusim::run_batch(*engine, blocks, rows * n, [=](std::size_t worker, std::size_t b) {
-        const std::size_t r0 = b * tile.mc;
-        const std::size_t r1 = std::min(rows, r0 + tile.mc);
+        const std::size_t r0 = b * mc;
+        const std::size_t r1 = std::min(rows, r0 + mc);
         const simrt::RawView2<const T> Ab(a_ptr + r0 * k, r1 - r0, k);
         const simrt::RawView2<const T> Bv(b_ptr, k, n);
         simrt::RawView2<T> Cb(c_ptr + r0 * n, r1 - r0, n);
-        const std::size_t bytes =
-            gemm::gemm_tiled_scratch_bytes<T>(r1 - r0, n, k, tile);
+        const std::size_t bytes = gemm::gemm_tiled_scratch_bytes<T>(r1 - r0, n, k);
         auto scratch = gpusim::batch_scratch(*engine, worker, bytes);
-        gemm::gemm_tiled_serial_scratch<T>(Ab, Bv, Cb, scratch, tile);
+        gemm::gemm_tiled_serial_scratch<T>(Ab, Bv, Cb, scratch);
       });
     });
   };

@@ -165,9 +165,14 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
     // Halo exchange on buf[nxt]: my edge rows become the neighbors' halo
     // rows.  The copy waits for my sweep; the neighbor's next sweep
     // waits for the copy (via halo_in).  Fixed device-major order.
+    // Only a neighbor that computes rows gets a halo: it never reads one
+    // otherwise, and its return copy is what orders my sweep two
+    // iterations on (which overwrites the row this copy reads) behind
+    // this copy.
+    const auto computes = [&](std::size_t d) { return slab[d].gend > slab[d].gstart; };
     for (std::size_t d = 0; d < devices; ++d) {
       Slab& s = slab[d];
-      if (d > 0 && s.gend > s.gstart) {
+      if (d > 0 && computes(d) && computes(d - 1)) {
         Slab& up = slab[d - 1];
         s.xfer->wait(compute_done[d]);
         // My first computed row gstart is row index (gstart - up.lo) in
@@ -179,7 +184,7 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
         s.xfer->record(ev);
         halo_in[d - 1].push_back(ev);
       }
-      if (d + 1 < devices && s.gend > s.gstart) {
+      if (d + 1 < devices && computes(d) && computes(d + 1)) {
         Slab& dn = slab[d + 1];
         s.xfer->wait(compute_done[d]);
         gpusim::peer_copy_async(topo, d, d + 1, *s.xfer, dn.buf[nxt],

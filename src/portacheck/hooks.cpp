@@ -7,7 +7,7 @@ namespace portabench::portacheck {
 
 namespace detail {
 
-thread_local std::uint64_t tls_lane = 0;
+constinit thread_local std::uint64_t tls_lane = 0;
 
 namespace {
 

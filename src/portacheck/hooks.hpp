@@ -35,7 +35,9 @@ struct Globals {
 /// PORTABENCH_CHECK_SEED from the environment.
 Globals& globals() noexcept;
 
-extern thread_local std::uint64_t tls_lane;
+// constinit: the lane has no dynamic initializer, so other translation
+// units access it directly instead of through the TLS init wrapper.
+extern constinit thread_local std::uint64_t tls_lane;
 
 }  // namespace detail
 

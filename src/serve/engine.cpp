@@ -15,7 +15,6 @@
 #include "simrt/mdarray.hpp"
 #include "spmv/kernels.hpp"
 #include "stencil/kernels.hpp"
-#include "tune/tuned.hpp"
 
 namespace portabench::serve {
 
@@ -261,16 +260,14 @@ namespace {
 template <class T, class Acc>
 void run_tiled_bucket(gpusim::LaunchEngine& engine,
                       std::vector<gemm::GemmBatchItem<T, Acc>>& items,
-                      std::span<const JobDesc> descs, std::span<std::byte* const> bases,
-                      const gemm::TileConfig& tile) {
+                      std::span<const JobDesc> descs, std::span<std::byte* const> bases) {
   items.clear();
   for (std::size_t k = 0; k < descs.size(); ++k) {
     const std::size_t n = descs[k].n;
     const auto cv = carve_gemm<T, Acc>(bases[k], n);
     items.push_back({cv.a, cv.b, cv.c, n});
   }
-  gemm::gemm_tiled_batched(engine, std::span<const gemm::GemmBatchItem<T, Acc>>(items),
-                           tile);
+  gemm::gemm_tiled_batched(engine, std::span<const gemm::GemmBatchItem<T, Acc>>(items));
 }
 
 template <class T>
@@ -302,9 +299,6 @@ ServeEngine::Shard::Shard(const ServeConfig& cfg, gpusim::DeviceContext& shard_c
 ServeEngine::Shard::~Shard() = default;
 
 ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
-  if (config_.batch_jobs == 0) {
-    config_.batch_jobs = tune::Tuned::instance().serve_batch_jobs(kDefaultBatchJobs);
-  }
   PB_EXPECTS(config_.shards > 0);
   PB_EXPECTS(config_.queue_capacity > 0);
   PB_EXPECTS(config_.batch_jobs > 0);
@@ -484,21 +478,15 @@ void ServeEngine::run_bucket(Shard& shard, std::size_t lo, std::size_t hi) {
   switch (proto.kind) {
     case JobKind::kGemm:
       if (proto.frontend == Frontend::kTiled) {
-        // A bucket is homogeneous in (precision, size_class), so one
-        // tuned schedule applies to every job in it.  Tuned configs
-        // only move schedule knobs (row grain, SIMD tier), so the
-        // bitwise run_serial contract is unaffected.
-        const gemm::TileConfig& tile =
-            tune::Tuned::instance().gemm_tile(proto.precision, size_class(proto.n));
         switch (proto.precision) {
           case Precision::kDouble:
-            run_tiled_bucket(engine, st.gemm_f64, descs, bases, tile);
+            run_tiled_bucket(engine, st.gemm_f64, descs, bases);
             break;
           case Precision::kSingle:
-            run_tiled_bucket(engine, st.gemm_f32, descs, bases, tile);
+            run_tiled_bucket(engine, st.gemm_f32, descs, bases);
             break;
           case Precision::kHalfIn:
-            run_tiled_bucket(engine, st.gemm_f16, descs, bases, tile);
+            run_tiled_bucket(engine, st.gemm_f16, descs, bases);
             break;
         }
       } else {

@@ -52,9 +52,8 @@ class batch_error : public std::runtime_error {
 /// legitimately owns locks the way simrt/gpusim do.
 using ShardMutex = std::mutex;  // portalint: raw-thread-ok(serve is a runtime layer: shard submit/flush ordering needs a real lock)
 
-/// Flush-batch size when neither the caller nor the tuning cache picks
-/// one.  The tunable itself lives in the "serve-batch" registry space.
-// portalint: tn-magic-tile-ok(fallback for the serve-batch tuning space; src/tune/params.cpp pins it)
+/// Flush-batch size when the caller does not pick one.
+// portalint: tn-magic-tile-ok(ServeConfig::batch_jobs default; named once here)
 inline constexpr std::size_t kDefaultBatchJobs = 32;
 
 /// Serving's default node shape: one A100-class device in the degenerate
@@ -70,10 +69,7 @@ inline constexpr std::size_t kDefaultBatchJobs = 32;
 struct ServeConfig {
   std::size_t shards = 4;
   std::size_t queue_capacity = 1024;  ///< per-shard admission queue bound
-  /// Jobs per flush (and the flush trigger).  0 means "resolve at engine
-  /// construction": the tuning cache's serve-batch entry for this
-  /// machine if present, else kDefaultBatchJobs.
-  std::size_t batch_jobs = 0;
+  std::size_t batch_jobs = kDefaultBatchJobs;  ///< jobs per flush (and the flush trigger)
   std::uint32_t max_n = 256;          ///< admission bound on problem size
   /// Completion sink; called on the flushing thread, jobs of a batch
   /// delivered in deterministic (bucket, id) order.  Must be thread-safe

@@ -34,7 +34,6 @@
 #include "simrt/parallel.hpp"
 #include "spmv/kernels.hpp"
 #include "stencil/kernels.hpp"
-#include "tune/tuned.hpp"
 
 namespace portabench::serve {
 
@@ -138,12 +137,7 @@ double gemm_serial_checksum(const JobDesc& d) {
       }
       break;
     case Frontend::kTiled:
-      // Same per-bucket tuned schedule the engine resolves — tuned
-      // knobs are order-free, but using one source keeps the oracle
-      // honest even if that contract ever loosens.
-      gemm::gemm_tiled<Acc>(space, A, B, C,
-                            tune::Tuned::instance().gemm_tile(
-                                d.precision, size_class(d.n)));
+      gemm::gemm_tiled<Acc>(space, A, B, C);
       break;
   }
   return view_checksum(C);

@@ -1,5 +1,7 @@
 #include "thread_pool.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "portacheck/hooks.hpp"
 
@@ -67,6 +69,20 @@ void ThreadPool::record_error() noexcept {
     first_error_ = std::current_exception();
     has_error_.store(true, std::memory_order_release);
   }
+}
+
+void ThreadPool::finish_region() {
+  // Take the stashed error out before clearing in_flight_: once it is
+  // false the destructor may run on another thread, so nothing after
+  // that store may touch a member.
+  std::exception_ptr err;
+  if (has_error_.load(std::memory_order_acquire)) {
+    std::lock_guard lock(error_mutex_);
+    err = std::exchange(first_error_, nullptr);
+    has_error_.store(false, std::memory_order_relaxed);
+  }
+  in_flight_.store(false, std::memory_order_release);
+  if (err) std::rethrow_exception(err);
 }
 
 bool ThreadPool::await_epoch(WorkerSlot& slot, std::uint64_t epoch) {
@@ -155,17 +171,7 @@ void ThreadPool::run_inline(TaskFn fn, void* ctx) {
       record_error();
     }
   }
-  in_flight_.store(false, std::memory_order_release);
-  if (has_error_.load(std::memory_order_acquire)) {
-    std::exception_ptr err;
-    {
-      std::lock_guard lock(error_mutex_);
-      err = first_error_;
-      first_error_ = nullptr;
-      has_error_.store(false, std::memory_order_relaxed);
-    }
-    std::rethrow_exception(err);
-  }
+  finish_region();
 }
 
 void ThreadPool::run_impl(TaskFn fn, void* ctx) {
@@ -223,18 +229,7 @@ void ThreadPool::run_impl(TaskFn fn, void* ctx) {
     }
     ++spins;
   }
-  in_flight_.store(false, std::memory_order_release);
-
-  if (has_error_.load(std::memory_order_acquire)) {
-    std::exception_ptr err;
-    {
-      std::lock_guard lock(error_mutex_);
-      err = first_error_;
-      first_error_ = nullptr;
-      has_error_.store(false, std::memory_order_relaxed);
-    }
-    std::rethrow_exception(err);
-  }
+  finish_region();
 }
 
 }  // namespace portabench::simrt

@@ -113,6 +113,9 @@ class ThreadPool {
   void worker_loop(std::size_t thread_id);
   /// Stash std::current_exception() as the region's first error (cold path).
   void record_error() noexcept;
+  /// End the caller's region: clear in_flight_ and rethrow the region's
+  /// first error, if any.
+  void finish_region();
   /// Spin-then-park until the slot's go epoch reaches `epoch` or shutdown.
   /// Returns false on shutdown.
   bool await_epoch(WorkerSlot& slot, std::uint64_t epoch);

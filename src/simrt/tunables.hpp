@@ -8,7 +8,7 @@
 //
 // They live here, in a `tunables` header, because portalint's
 // tn-magic-tile rule gives every hard-coded scheduling literal one
-// sanctioned home (src/tune or a tunables module).
+// sanctioned home (a tunables module).
 #pragma once
 
 #include <cstddef>

@@ -57,7 +57,7 @@ std::string fingerprint_key(const MachineFingerprint& fp) {
 
 std::uint64_t fingerprint_hash(const MachineFingerprint& fp) {
   // FNV-1a, 64-bit: stable across builds and platforms (the hash is
-  // persisted in cache files, so it must not depend on std::hash).
+  // persisted in bench artifacts, so it must not depend on std::hash).
   const std::string key = fingerprint_key(fp);
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : key) {

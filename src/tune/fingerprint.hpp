@@ -1,11 +1,10 @@
-// Machine fingerprint for the tuning cache.
+// Machine fingerprint: identifies the host in bench artifacts.
 //
-// A tuned winner is only trustworthy on the machine class it was measured
-// on (the paper's whole point: unroll-2 wins on A100, unroll-4 on
-// MI250X).  Cache entries therefore carry a fingerprint of (cpu model,
-// core count, dispatched SIMD tier); lookups ignore entries whose
-// fingerprint differs from the local one, so a cache file can travel with
-// a checkout without poisoning a different machine.
+// A measured number is only comparable with numbers from the same
+// machine class (the paper's whole point: unroll-2 wins on A100,
+// unroll-4 on MI250X).  bench/e2e therefore prints a fingerprint of
+// (cpu model, core count, dispatched SIMD tier) and records its hash in
+// every artifact, so results from different hosts can be told apart.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +20,13 @@ struct MachineFingerprint {
 
 /// Fingerprint of the machine this process runs on (cached per process;
 /// the SIMD tier honors PORTABENCH_SIMD_TIER clamp-down, so a clamped
-/// run tunes — and caches — as the machine class it emulates).
+/// run is recorded as the machine class it emulates).
 [[nodiscard]] const MachineFingerprint& local_fingerprint();
 
 /// Human-readable key: "model|cores|tier".
 [[nodiscard]] std::string fingerprint_key(const MachineFingerprint& fp);
 
-/// Stable FNV-1a hash of fingerprint_key (what cache entries store).
+/// Stable FNV-1a hash of fingerprint_key (what artifacts record).
 [[nodiscard]] std::uint64_t fingerprint_hash(const MachineFingerprint& fp);
 
 /// Parse helper exposed for tests: first "model name : ..." value in

@@ -6,10 +6,10 @@
 // bench/ablation_unroll and bench/ablation_block_size emit these
 // functions into their BENCH_*.json artifacts (the `tuner_cost`
 // columns): the smaller-is-better cost a search over the knob would
-// minimize.  No registry space searches them.
+// minimize.
 //
 // Header-only on purpose: consumers must link portabench::perfmodel and
-// portabench::gpusim (the tune core library does not take a perfmodel
+// portabench::gpusim (the tune library does not take a perfmodel
 // dependency just to host two inline formulas).
 #pragma once
 

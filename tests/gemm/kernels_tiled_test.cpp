@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "common/half.hpp"
 #include "common/rng.hpp"
@@ -168,6 +170,33 @@ TEST(TiledGemm, SerialAndThreadedBitwiseIdentical) {
   gemm_tiled<double>(serial, A, B, C_serial);
   gemm_tiled<double>(threads, A, B, C_threads);
   EXPECT_EQ(max_abs_diff(C_serial, C_threads), 0.0);
+}
+
+TEST(TiledGemm, RowBlockingNeverChangesBits) {
+  // mc only regroups rows into parallel/serial units; each C(i,j) keeps
+  // its KC-block accumulation order, so every mc must reproduce
+  // TileConfig{}'s bits on both entry points that take a config.  m is
+  // ragged against every mc swept, and k crosses a KC panel.
+  constexpr std::size_t m = 147, k = 300, n = 31;
+  auto A = random_matrix<double, LayoutRight>(m, k, 21);
+  auto B = random_matrix<double, LayoutRight>(k, n, 22);
+  ThreadsSpace threads(4);
+  View2<double, LayoutRight> C_default(m, n);
+  gemm_tiled<double>(threads, A, B, C_default, TileConfig{});
+  const auto same_bits = [&](const View2<double, LayoutRight>& C) {
+    return std::memcmp(C.data(), C_default.data(), m * n * sizeof(double)) == 0;
+  };
+  for (const std::size_t mc : {16u, 64u, 256u}) {
+    const TileConfig cfg{mc};
+    View2<double, LayoutRight> C_threads(m, n);
+    gemm_tiled<double>(threads, A, B, C_threads, cfg);
+    EXPECT_TRUE(same_bits(C_threads)) << "gemm_tiled, mc " << mc;
+
+    View2<double, LayoutRight> C_scratch(m, n);
+    std::vector<std::byte> scratch(gemm_tiled_scratch_bytes<double>(m, n, k, cfg));
+    gemm_tiled_serial_scratch<double>(A, B, C_scratch, scratch, cfg);
+    EXPECT_TRUE(same_bits(C_scratch)) << "gemm_tiled_serial_scratch, mc " << mc;
+  }
 }
 
 TEST(TiledGemm, ShapeMismatchRejected) {

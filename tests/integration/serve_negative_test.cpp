@@ -5,6 +5,7 @@
 // checks the engine stays fully usable after each abuse.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +35,13 @@ TEST(ServeNegativeTest, ZeroSizeIsTypedReject) {
   EXPECT_EQ(st.rejected_total, 1u);
   EXPECT_EQ(st.rejected_by[static_cast<std::size_t>(AdmitError::kZeroSize)], 1u);
   EXPECT_EQ(st.accepted, 0u);
+}
+
+TEST(ServeNegativeTest, ZeroBatchJobsIsAPreconditionError) {
+  EXPECT_EQ(ServeConfig{}.batch_jobs, kDefaultBatchJobs);
+  ServeConfig cfg;
+  cfg.batch_jobs = 0;
+  EXPECT_THROW(ServeEngine{cfg}, precondition_error);
 }
 
 TEST(ServeNegativeTest, OversizeIsTypedReject) {
@@ -123,8 +131,11 @@ TEST(ServeNegativeTest, FuzzedDescsNeverAbortAndAcceptedOnesComplete) {
   cfg.queue_capacity = 16;
   cfg.batch_jobs = 8;
   cfg.max_n = 48;
-  std::uint64_t delivered = 0;
-  cfg.on_complete = [&](const JobResult&) { ++delivered; };
+  // on_complete runs on every shard's flush thread.
+  std::atomic<std::uint64_t> delivered{0};
+  cfg.on_complete = [&](const JobResult&) {
+    delivered.fetch_add(1, std::memory_order_relaxed);
+  };
   ServeEngine engine(cfg);
 
   Xoshiro256 rng(0xFA22ull);
@@ -155,7 +166,7 @@ TEST(ServeNegativeTest, FuzzedDescsNeverAbortAndAcceptedOnesComplete) {
   EXPECT_GT(accepted, 0u) << "fuzzer never produced a valid desc; widen ranges";
   EXPECT_EQ(st.accepted, accepted);
   EXPECT_EQ(st.completed + st.failed, accepted);
-  EXPECT_EQ(delivered, accepted);
+  EXPECT_EQ(delivered.load(), accepted);
   EXPECT_EQ(st.rejected_total,
             st.rejected_by[1] + st.rejected_by[2] + st.rejected_by[3] +
                 st.rejected_by[4] + st.rejected_by[5]);

@@ -1,5 +1,5 @@
 // Known-bad fixture: schedule knobs frozen into source as integer
-// literals — each should route through the src/tune registry.
+// literals — each belongs in a tunables module.
 #include <cstddef>
 
 namespace fixture {

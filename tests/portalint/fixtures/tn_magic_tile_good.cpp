@@ -11,7 +11,7 @@ inline void configure() {
   std::size_t batch_jobs = 0;                           // 0 = resolve at use
   const std::size_t grain = fork_cutoff / 2 + 1;        // computed
   const double tile_ratio = 0.5;                        // float: not a knob
-  // portalint: tn-magic-tile-ok(calibrated default; the tuning registry pins it)
+  // portalint: tn-magic-tile-ok(calibrated default; named once here)
   const std::size_t tile_rows = 32;
   (void)batch_jobs;
   (void)grain;

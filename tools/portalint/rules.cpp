@@ -53,14 +53,12 @@ bool rng_exempt(const FileUnit& u) {
   return !u.is_fixture && u.rel.find("common/rng") != std::string::npos;
 }
 
-// tn-magic-tile exemptions: the tuning registry (src/tune/) is where
-// searched schedule knobs live, the tunables modules (simrt, gpusim,
+// tn-magic-tile exemptions: the tunables modules (simrt, gpusim,
 // primitives) name the fixed schedule constants, and tests freely pin
 // schedules to make scenarios reproducible.
 bool tn_exempt(const FileUnit& u) {
   if (u.is_fixture) return false;
-  return u.has_component("tune") || u.rel.find("tunables") != std::string::npos ||
-         in_tests(u);
+  return u.rel.find("tunables") != std::string::npos || in_tests(u);
 }
 
 Finding make(const FileUnit& u, int line, std::string rule, std::string family,
@@ -585,11 +583,10 @@ void rule_include_cycle(const Project& p, std::vector<Finding>& out) {
 // --- tn-magic-tile ---------------------------------------------------------
 //
 // A schedule knob (tile/chunk/grain/cutoff/unroll/batch/block size)
-// assigned a bare nonzero integer literal is a tuning decision frozen
-// into source.  Those belong in the src/tune registry (searched, cached
-// per machine) or the tunables modules (named once); everything else
-// should resolve through them.  Zero is exempt — it is the conventional "resolve at
-// runtime" sentinel.
+// assigned a bare nonzero integer literal is a scheduling decision
+// hidden at its use site.  Those belong in a tunables module (named
+// once); everything else should read them from there.  Zero is exempt —
+// it is the conventional "resolve at runtime" sentinel.
 
 bool tn_knob_ident(const std::string& name) {
   // The tiled-GEMM blocking constants, exact (kMR alone would also match
@@ -628,8 +625,7 @@ void rule_tn_magic_tile(const FileUnit& u, std::vector<Finding>& out) {
     if (value == 0) continue;  // 0 = "resolve at runtime" sentinel
     out.push_back(make(u, t[j].line, "tn-magic-tile", "hygiene",
                        "schedule knob '" + t[j].text + "' pinned to literal " +
-                           num.text + "; route it through the src/tune registry " +
-                           "or a tunables module so it stays searchable"));
+                           num.text + "; name it once in a tunables module"));
   }
 }
 
@@ -660,8 +656,7 @@ const std::vector<RuleDesc>& all_rules() {
        "src/simrt/simd_backends"},
       {"tn-magic-tile", "hygiene",
        "schedule knob (tile/chunk/grain/cutoff/unroll/batch/block size) "
-       "hard-coded to an integer literal outside src/tune and the tunables "
-       "modules"},
+       "hard-coded to an integer literal outside the tunables modules"},
       {"hy-pragma-once", "hygiene", "header missing #pragma once"},
       {"hy-using-ns", "hygiene",
        "using namespace at file/namespace scope in a header"},
