@@ -21,11 +21,12 @@
 // One engine is shared process-wide by default (DeviceContext::engine()),
 // so a test binary with dozens of DeviceContexts spawns one worker team,
 // not dozens.  Concurrent launches (e.g. from two async Streams) are
-// serialized on an internal mutex — the host is one simulated device, and
-// real GPUs serialize kernels onto the same SMs just the same — while a
-// launch issued from *inside* an engine region (a kernel launching a
-// kernel, or a sub-cutoff launch on a pool worker) degrades to the serial
-// inline walk instead of deadlocking on the non-reentrant pool.
+// serialized on an internal mutex.  Real GPUs run kernels from different
+// streams concurrently; the serialization is a limit of this simulator,
+// whose pool runs one region at a time.  A launch issued from *inside* an
+// engine region (a kernel launching a kernel, or a sub-cutoff launch on a
+// pool worker) degrades to the serial inline walk instead of deadlocking
+// on the non-reentrant pool.
 #pragma once
 
 #include <atomic>

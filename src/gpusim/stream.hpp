@@ -23,11 +23,14 @@
 // The modeled clock is advanced at enqueue time on the caller, in
 // program order — modeled timestamps are deterministic and identical
 // between the two modes; only the host-side execution strategy differs.
+// Real completion is one counter per stream (its Timeline), and an Event
+// is a snapshot of it, so record() enqueues and allocates nothing.  Every
+// wait parks through simrt::wait_until on the counter it needs.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -39,6 +42,7 @@
 #include "common/error.hpp"
 #include "device.hpp"
 #include "portacheck/hooks.hpp"
+#include "simrt/wait.hpp"
 
 namespace portabench::gpusim {
 
@@ -138,13 +142,35 @@ class ErasedOp {
   const OpsVTable* ops_ = nullptr;
 };
 
+/// Stream waits park at once, beyond libstdc++'s own short spin: a
+/// spinning stream worker would take the cores the launch engine's pool
+/// needs.
+inline constexpr simrt::SpinBudget kStreamSpin{};
+
+/// A stream's completed-op count, which its worker advances after every
+/// op, including one that threw.  Shared with the Events recorded on the
+/// stream and the wait() ops on them, so both may outlive the stream.
+struct Timeline {
+  std::atomic<std::uint32_t> completed{0};
+
+  /// Block until `ops` ops have completed.
+  void wait_for(std::uint32_t ops) const {
+    simrt::wait_until(completed, kStreamSpin,
+                      [ops](std::uint32_t done) { return simrt::reached(done, ops); });
+  }
+
+  /// Count one more completed op and wake its waiters.
+  void finish_op() noexcept { simrt::advance(completed); }
+};
+
 /// In-order queue serviced by one dedicated worker thread (the async
 /// stream's engine).  push() never blocks on op execution; drain()
-/// blocks until the queue is empty and the worker is idle, rethrowing
-/// the first exception an op threw.
+/// blocks until every op pushed so far has completed, rethrowing the
+/// first exception an op threw.
 class AsyncQueue {
  public:
-  AsyncQueue();
+  /// `timeline` is advanced after every op and must outlive the queue.
+  explicit AsyncQueue(Timeline& timeline);
   ~AsyncQueue();
   AsyncQueue(const AsyncQueue&) = delete;
   AsyncQueue& operator=(const AsyncQueue&) = delete;
@@ -152,82 +178,71 @@ class AsyncQueue {
   void push(ErasedOp op);
   void drain();
 
+  /// Ops pushed so far: the count an Event recorded now waits for.
+  [[nodiscard]] std::uint32_t pushed() const noexcept {
+    return pushes_.load(std::memory_order_relaxed);
+  }
+
  private:
   void worker_loop();
 
-  std::mutex mutex_;
-  std::condition_variable work_cv_;  // worker waits for ops / shutdown
-  std::condition_variable idle_cv_;  // drain() waits for empty + idle
+  Timeline& timeline_;
+  std::mutex mutex_;                 // guards queue_ and first_error_
   std::vector<ErasedOp> queue_;      // FIFO: worker swaps it out in batches
-  bool busy_ = false;
-  bool shutdown_ = false;
   std::exception_ptr first_error_;
+  // Ops ever pushed, changed under mutex_; the worker parks on it.
+  std::atomic<std::uint32_t> pushes_{0};
   std::thread worker_;
 };
 
 }  // namespace detail
 
 /// Marks a position in a stream's modeled timeline (cudaEvent analogue).
-/// Events carry shared completion state, so a recorded Event can be
-/// waited on after the recording stream re-records or is destroyed.
+/// An Event holds the recording stream's shared Timeline, so a recorded
+/// Event can be waited on after the stream re-records or is destroyed.
+/// Counts are 32 bits: query or wait on an Event before its stream runs
+/// 2^31 further ops.
 class Event {
  public:
   Event() = default;
 
-  [[nodiscard]] bool recorded() const noexcept { return state_ != nullptr; }
+  [[nodiscard]] bool recorded() const noexcept { return timeline_ != nullptr; }
 
   /// Modeled device time (seconds) at which the event completes.
   [[nodiscard]] double timestamp() const {
     PB_EXPECTS(recorded());
-    return state_->timestamp;
+    return timestamp_;
   }
 
   /// Host-side completion state (cudaEventQuery): for events recorded on
   /// an eager stream this is true as soon as record() returns; on an
-  /// async stream it flips when the worker reaches the record marker.
+  /// async stream it flips when the worker has finished every op handed
+  /// to it before record().
   [[nodiscard]] bool query() const noexcept {
-    return state_ != nullptr && state_->done.load(std::memory_order_acquire);
+    return recorded() &&
+           simrt::reached(timeline_->completed.load(std::memory_order_acquire), ops_);
   }
 
   /// Block the host until the event really completed (cudaEventSynchronize).
   void synchronize() const {
     PB_EXPECTS(recorded());
-    state_->wait_done();
+    timeline_->wait_for(ops_);
   }
 
   /// Modeled seconds between two recorded events (cudaEventElapsedTime).
   /// Reversed arguments (stop before start) are a precondition_error.
   [[nodiscard]] static double elapsed(const Event& start, const Event& stop) {
     PB_EXPECTS(start.recorded() && stop.recorded());
-    PB_EXPECTS(stop.state_->timestamp >= start.state_->timestamp);
-    return stop.state_->timestamp - start.state_->timestamp;
+    PB_EXPECTS(stop.timestamp_ >= start.timestamp_);
+    return stop.timestamp_ - start.timestamp_;
   }
 
  private:
   friend class Stream;
 
-  struct State {
-    double timestamp = 0.0;
-    std::atomic<bool> done{false};
-    std::mutex m;
-    std::condition_variable cv;
-
-    void mark_done() {
-      {
-        std::lock_guard<std::mutex> lock(m);
-        done.store(true, std::memory_order_release);
-      }
-      cv.notify_all();
-    }
-
-    void wait_done() {
-      if (done.load(std::memory_order_acquire)) return;
-      std::unique_lock<std::mutex> lock(m);
-      cv.wait(lock, [this] { return done.load(std::memory_order_acquire); });
-    }
-  };
-
-  std::shared_ptr<State> state_;
+  std::shared_ptr<const detail::Timeline> timeline_;
+  std::uint32_t ops_ = 0;  // ops handed to the recording stream's worker
+  double timestamp_ = 0.0;
 };
 
 /// In-order work queue with a modeled clock.  See the header comment for
@@ -237,9 +252,9 @@ class Stream {
   /// Sanitized runs (portacheck active at construction) force kEager so
   /// the permuted serial schedule stays serial — see docs/SANITIZER.md.
   explicit Stream(DeviceContext& ctx, StreamMode mode = StreamMode::kEager)
-      : ctx_(&ctx) {
+      : ctx_(&ctx), timeline_(std::make_shared<detail::Timeline>()) {
     if (mode == StreamMode::kAsync && !portacheck::active()) {
-      queue_ = std::make_unique<detail::AsyncQueue>();
+      queue_ = std::make_unique<detail::AsyncQueue>(*timeline_);
     }
   }
 
@@ -290,27 +305,23 @@ class Stream {
   /// An eager stream blocks the host instead (it *is* its own worker).
   void wait(const Event& event) {
     PB_EXPECTS(event.recorded());
-    clock_ = std::max(clock_, event.state_->timestamp);
+    clock_ = std::max(clock_, event.timestamp_);
     if (queue_) {
       queue_->push(detail::ErasedOp(
-          [state = event.state_] { state->wait_done(); }));
+          [timeline = event.timeline_, ops = event.ops_] { timeline->wait_for(ops); }));
     } else {
-      event.state_->wait_done();
+      event.timeline_->wait_for(event.ops_);
     }
   }
 
-  /// Record an event at the current end of the queue.  The modeled
-  /// timestamp is taken now (program order); real completion is marked
-  /// when the stream's worker reaches this point in the queue.
+  /// Record an event at the current end of the queue: a snapshot of the
+  /// modeled clock (program order) and of the ops handed to the worker,
+  /// which completes once the worker has finished them.  An eager stream
+  /// hands its worker nothing, so its events are complete at once.
   void record(Event& event) {
-    auto state = std::make_shared<Event::State>();
-    state->timestamp = clock_;
-    if (queue_) {
-      queue_->push(detail::ErasedOp([state] { state->mark_done(); }));
-    } else {
-      state->done.store(true, std::memory_order_release);
-    }
-    event.state_ = std::move(state);
+    event.timeline_ = timeline_;
+    event.ops_ = queue_ ? queue_->pushed() : 0;
+    event.timestamp_ = clock_;
   }
 
   /// Host-synchronize: drain outstanding async work (rethrowing the
@@ -324,7 +335,8 @@ class Stream {
 
  private:
   DeviceContext* ctx_;
-  std::unique_ptr<detail::AsyncQueue> queue_;  // null in eager mode
+  std::shared_ptr<detail::Timeline> timeline_;
+  std::unique_ptr<detail::AsyncQueue> queue_;  // null in eager mode; advances timeline_
   double clock_ = 0.0;
   std::size_t ops_ = 0;
 };

@@ -205,6 +205,10 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
     if (s.gend <= s.gstart) continue;
     for (gpusim::Event& ev : halo_in[d]) s.comp->wait(ev);  // final halos irrelevant, but drain order-safe
     s.comp->wait(compute_done[d]);
+    // The neighbors' uploads read my edge rows as halos; when a neighbor
+    // computes nothing, no halo chain orders them before this copy.
+    if (d > 0) s.comp->wait(uploaded[d - 1]);
+    if (d + 1 < devices) s.comp->wait(uploaded[d + 1]);
     gpusim::copy_to_host_async(
         topo, d, *s.comp,
         std::span<double>(grid.data() + s.gstart * cols, (s.gend - s.gstart) * cols),

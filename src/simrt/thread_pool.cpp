@@ -9,24 +9,11 @@ namespace portabench::simrt {
 
 namespace {
 
-/// One spin-loop iteration's worth of politeness: a pipeline hint on
-/// architectures that have one, a scheduler yield elsewhere.
-inline void cpu_pause() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// Spin budget before falling back to a condvar park.  The pause phase
-// covers the multicore fast path (the signal arrives within tens of
+// Spin budget before a worker or the joining caller parks.  The pause
+// phase covers the multicore fast path (the signal arrives within tens of
 // cycles); the yield phase covers oversubscribed hosts, where the peer
 // needs the core to make progress at all.
-constexpr int kPauseSpins = 128;
-constexpr int kYieldSpins = 512;
+constexpr SpinBudget kPoolSpin{128, 512};
 
 }  // namespace
 
@@ -48,18 +35,12 @@ ThreadPool::~ThreadPool() {
   // one thread while another still has a run() in flight (e.g. a
   // parallel_reduce chunk mid-execution), the region must retire before
   // workers are told to exit — otherwise its join would wait on threads
-  // that already left.
+  // that already left.  This wait polls rather than parks: clearing
+  // in_flight_ is the region caller's last touch of the pool, so nothing
+  // may notify after it.
   while (in_flight_.load(std::memory_order_acquire)) std::this_thread::yield();
-  {
-    // shutdown_ is flipped under the park mutex so a worker evaluating its
-    // park predicate cannot miss it (the store and the predicate are
-    // ordered by the lock).  release, not seq_cst: the lock orders the
-    // parked path, and the unlocked fast-path load in await_epoch only
-    // needs acquire/release — shutdown_ is not part of a Dekker pair.
-    std::lock_guard lock(mutex_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  start_cv_.notify_all();
+  shutdown_.store(true, std::memory_order_relaxed);
+  for (WorkerSlot& slot : slots_) advance(slot.go);
   for (auto& w : workers_) w.join();
 }
 
@@ -85,37 +66,6 @@ void ThreadPool::finish_region() {
   if (err) std::rethrow_exception(err);
 }
 
-bool ThreadPool::await_epoch(WorkerSlot& slot, std::uint64_t epoch) {
-  int spins = 0;
-  for (;;) {
-    if (slot.go.load(std::memory_order_acquire) >= epoch) return true;
-    if (shutdown_.load(std::memory_order_acquire)) return false;
-    if (spins < kPauseSpins) {
-      cpu_pause();
-    } else if (spins < kPauseSpins + kYieldSpins) {
-      std::this_thread::yield();
-    } else {
-      break;  // spin budget exhausted: park
-    }
-    ++spins;
-  }
-  std::unique_lock lock(mutex_);
-  // seq_cst Dekker pair with run_impl: the caller stores go then loads
-  // parked; we store parked then load go.  At least one side must see the
-  // other's store, so either the caller notifies or the predicate is
-  // already true and we never sleep.
-  slot.parked.store(1, std::memory_order_seq_cst);  // portalint: mo-ok(Dekker store side; pairs with run_impl's go-store/parked-load)
-  start_cv_.wait(lock, [&] {
-    // shutdown_ may be relaxed here: its store happens under this same
-    // mutex, so the lock orders it.  go stays seq_cst — it is the load
-    // side of the Dekker pair and must not hoist above the parked store.
-    return shutdown_.load(std::memory_order_relaxed) ||
-           slot.go.load(std::memory_order_seq_cst) >= epoch;  // portalint: mo-ok(Dekker load side)
-  });
-  slot.parked.store(0, std::memory_order_relaxed);
-  return slot.go.load(std::memory_order_acquire) >= epoch;
-}
-
 void ThreadPool::worker_loop(std::size_t thread_id) {
   // Apply the recorded placement to this OS thread, best-effort.  Only
   // workers are bound: logical thread 0 is the caller's thread, which
@@ -127,12 +77,14 @@ void ThreadPool::worker_loop(std::size_t thread_id) {
     bind_current_thread(placement_.core_of_thread[thread_id]);
   }
   WorkerSlot& slot = slots_[thread_id - 1];
-  std::uint64_t epoch = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    ++epoch;
-    if (!await_epoch(slot, epoch)) return;
-    // task_fn_/task_ctx_ were published before the slot's go store; the
-    // acquire load in await_epoch orders these plain reads after it.
+    // The caller publishes one region at a time and joins it before the
+    // next, so go is never more than one step past `seen`.
+    seen = wait_until(slot.go, kPoolSpin, [seen](std::uint32_t go) { return go != seen; });
+    if (shutdown_.load(std::memory_order_relaxed)) return;
+    // task_fn_/task_ctx_ were published before the slot's go advance; the
+    // acquire load in wait_until orders these plain reads after it.
     const TaskFn fn = task_fn_;
     void* const ctx = task_ctx_;
     try {
@@ -143,14 +95,11 @@ void ThreadPool::worker_loop(std::size_t thread_id) {
     } catch (...) {
       record_error();
     }
-    const std::size_t prev = arrived_.fetch_add(1, std::memory_order_seq_cst);  // portalint: mo-ok(Dekker store side; pairs with run_impl's caller_parked-store/arrived-load)
-    if (prev + 1 == num_threads_ - 1 &&
-        caller_parked_.load(std::memory_order_seq_cst)) {  // portalint: mo-ok(Dekker load side)
-      // Empty critical section: the caller either holds the mutex inside
-      // wait() (notify after we acquire+release is ordered correctly) or
-      // has not parked yet, in which case its predicate will see arrived_.
-      { std::lock_guard lock(mutex_); }
-      done_cv_.notify_one();
+    // Only the last arrival can satisfy the caller's join, so only it
+    // notifies.
+    const std::uint32_t expect = static_cast<std::uint32_t>(num_threads_ - 1);
+    if (arrived_.fetch_add(1, std::memory_order_release) + 1 == expect) {
+      arrived_.notify_one();
     }
   }
 }
@@ -189,18 +138,8 @@ void ThreadPool::run_impl(TaskFn fn, void* ctx) {
   task_ctx_ = ctx;
   arrived_.store(0, std::memory_order_relaxed);
 
-  // Publish the region: one padded line per worker, then a condvar nudge
-  // only if someone actually parked.
-  const std::uint64_t epoch = ++epoch_;
-  bool any_parked = false;
-  for (WorkerSlot& slot : slots_) {
-    slot.go.store(epoch, std::memory_order_seq_cst);  // portalint: mo-ok(Dekker store side; pairs with await_epoch's parked-store/go-load)
-    any_parked |= slot.parked.load(std::memory_order_seq_cst) != 0;  // portalint: mo-ok(Dekker load side)
-  }
-  if (any_parked) {
-    { std::lock_guard lock(mutex_); }
-    start_cv_.notify_all();
-  }
+  // Publish the region: one padded line per worker.
+  for (WorkerSlot& slot : slots_) advance(slot.go);
 
   // The caller participates as logical thread 0 (like an OpenMP master).
   try {
@@ -210,25 +149,8 @@ void ThreadPool::run_impl(TaskFn fn, void* ctx) {
     record_error();
   }
 
-  // Join: spin on the arrival counter, then park on done_cv_.
-  const std::size_t expect = num_threads_ - 1;
-  int spins = 0;
-  while (arrived_.load(std::memory_order_acquire) != expect) {
-    if (spins < kPauseSpins) {
-      cpu_pause();
-    } else if (spins < kPauseSpins + kYieldSpins) {
-      std::this_thread::yield();
-    } else {
-      std::unique_lock lock(mutex_);
-      caller_parked_.store(true, std::memory_order_seq_cst);  // portalint: mo-ok(Dekker store side; pairs with worker_loop's arrived-add/caller_parked-load)
-      done_cv_.wait(lock, [&] {
-        return arrived_.load(std::memory_order_seq_cst) == expect;  // portalint: mo-ok(Dekker load side)
-      });
-      caller_parked_.store(false, std::memory_order_relaxed);
-      break;
-    }
-    ++spins;
-  }
+  const auto expect = static_cast<std::uint32_t>(num_threads_ - 1);
+  wait_until(arrived_, kPoolSpin, [expect](std::uint32_t n) { return n == expect; });
   finish_region();
 }
 

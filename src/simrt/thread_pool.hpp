@@ -9,14 +9,11 @@
 //
 // Dispatch protocol (see docs/PERF.md): the pool is epoch-based and
 // lock-free on the region hot path.  Each worker owns a cache-line-padded
-// slot holding a "go" epoch; the caller publishes a region by storing the
-// new epoch into every slot, workers detect it by spinning briefly and
-// then parking on a condvar (spin-then-park), and the join is a single
-// shared arrival counter the caller spins on.  The mutex/condvar pair is
-// touched only on the park/unpark slow path, never on a region where all
-// participants are running hot — the old implementation paid a mutex +
-// notify_all + condvar rendezvous on *every* region, which dominated
-// small-region latency (bench/micro_dispatch.cpp measures the difference).
+// slot holding a 32-bit "go" epoch; the caller publishes a region by
+// advancing every slot's word, and joins on one shared arrival counter.
+// Both sides block through simrt::wait_until (wait.hpp): spin briefly,
+// then park on the very word whose change they need, and a parked
+// participant is woken by the RMW that publishes its work.
 //
 // On top of the cheap fork-join, run_auto() adds grain-based fork
 // elision: a region whose total work is below kForkCutoff
@@ -28,7 +25,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -39,6 +35,7 @@
 
 #include "affinity.hpp"
 #include "tunables.hpp"
+#include "wait.hpp"
 #include "common/buffer.hpp"
 
 namespace portabench::simrt {
@@ -97,12 +94,11 @@ class ThreadPool {
   /// Raw erased task: fn(ctx, thread_id).
   using TaskFn = void (*)(void*, std::size_t);
 
-  /// Per-worker dispatch slot, padded so each worker spins on its own
-  /// cache line.  `go` is the epoch the worker should run next; `parked`
-  /// tells the caller whether a condvar notify is needed at all.
+  /// Per-worker dispatch slot, padded so each worker waits on its own
+  /// cache line.  `go` counts the regions published to the worker, plus
+  /// one for shutdown.
   struct alignas(kCacheLineBytes) WorkerSlot {
-    std::atomic<std::uint64_t> go{0};
-    std::atomic<std::uint32_t> parked{0};
+    std::atomic<std::uint32_t> go{0};
   };
 
   void run_impl(TaskFn fn, void* ctx);
@@ -116,9 +112,6 @@ class ThreadPool {
   /// End the caller's region: clear in_flight_ and rethrow the region's
   /// first error, if any.
   void finish_region();
-  /// Spin-then-park until the slot's go epoch reaches `epoch` or shutdown.
-  /// Returns false on shutdown.
-  bool await_epoch(WorkerSlot& slot, std::uint64_t epoch);
 
   std::size_t num_threads_;
   Placement placement_;
@@ -128,10 +121,11 @@ class ThreadPool {
   // Join state: workers arrive with one fetch_add each; the caller waits
   // for num_threads_-1 arrivals.  Padded: the arrival counter is the only
   // line workers write on the join path, and it must not share a line
-  // with the fields the caller reads while spinning.
-  alignas(kCacheLineBytes) std::atomic<std::size_t> arrived_{0};
-  alignas(kCacheLineBytes) std::atomic<bool> caller_parked_{false};
-  std::atomic<bool> shutdown_{false};
+  // with the flags every worker reads when it wakes.
+  alignas(kCacheLineBytes) std::atomic<std::uint32_t> arrived_{0};
+  // Set before the destructor advances every go word, so a worker woken
+  // by that advance sees it and exits instead of rerunning the last task.
+  alignas(kCacheLineBytes) std::atomic<bool> shutdown_{false};
   std::atomic<bool> in_flight_{false};
   std::atomic<bool> has_error_{false};
 
@@ -139,14 +133,8 @@ class ThreadPool {
   // acquire load of their slot's go epoch.
   TaskFn task_fn_ = nullptr;
   void* task_ctx_ = nullptr;
-  std::uint64_t epoch_ = 0;  // caller-owned region counter
 
-  // Slow path only: park/unpark of workers (start_cv_) and caller
-  // (done_cv_).  Never touched on a region where everyone is spinning.
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::mutex error_mutex_;
+  std::mutex error_mutex_;  // guards first_error_
   std::exception_ptr first_error_;
 };
 

@@ -5,17 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "gpusim/copy.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/memory.hpp"
+#include "gpusim/pipeline.hpp"
 #include "gpusim/stream.hpp"
 #include "serve/engine.hpp"
 #include "serve/serial.hpp"
+#include "watchdog.hpp"
 
 namespace portabench::gpusim {
 namespace {
+
+using test_support::Watchdog;
 
 class StreamRecoveryTest : public ::testing::Test {
  protected:
@@ -144,6 +151,98 @@ TEST_F(StreamRecoveryTest, FreeAfterCountersResetBalances) {
   const DeviceCounters after = ctx_.counters();
   EXPECT_EQ(after.live_allocations, 0u);
   EXPECT_EQ(ctx_.bytes_in_use(), 0u);
+}
+
+// A compute op that throws on one panel of device 1 must strand no
+// waiter: the stream advances its completion count past the failed op,
+// so the panel's D2H (waiting on compute_done) and the next panels'
+// H2D/compute still run, every stream drains, and the driver reports the
+// error once.
+TEST_F(StreamRecoveryTest, ThrowingPanelStrandsNoWaiterInTheShardedPipeline) {
+  TopologyConfig cfg = TopologyConfig::crusher_node(2);
+  cfg.workers_per_device = 1;
+  cfg.pin_workers = false;
+  DeviceTopology topo(cfg);
+  static constexpr std::size_t kPanels = 6;
+  static constexpr std::size_t kRows = 64;
+  static constexpr std::size_t kDevices = 2;
+  static constexpr std::size_t kFaultyPanel = 3;
+
+  // One call: every panel doubles its input; returns the ops each stage ran.
+  const auto call = [&](bool inject, std::vector<double>& out) {
+    std::vector<double> in(kDevices * kPanels * kRows);
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<double>(i);
+    out.assign(in.size(), -1.0);
+    std::vector<std::vector<DeviceBuffer<double>>> stage_in(kDevices);
+    std::vector<std::vector<DeviceBuffer<double>>> stage_out(kDevices);
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      for (std::size_t slot = 0; slot < kPipelineSlots; ++slot) {
+        stage_in[d].emplace_back(topo.context(d), kRows);
+        stage_out[d].emplace_back(topo.context(d), kRows);
+      }
+    }
+    std::atomic<int> ran{0};
+    const auto panel = [](std::size_t d, std::size_t k) { return (d * kPanels + k) * kRows; };
+    gpusim::run_sharded_pipeline(
+        topo, {kPanels, kPanels}, true,
+        [&](Stream& s, std::size_t d, std::size_t k, std::size_t slot) {
+          copy_to_device_async(s, stage_in[d][slot], 0,
+                               std::span<const double>(in).subspan(panel(d, k), kRows));
+        },
+        [&](Stream& s, std::size_t d, std::size_t k, std::size_t slot) {
+          const double* src = stage_in[d][slot].data();
+          double* dst = stage_out[d][slot].data();
+          const bool fault = inject && d == 1 && k == kFaultyPanel;
+          s.enqueue(0.0, [src, dst, fault, &ran] {
+            ran.fetch_add(1, std::memory_order_relaxed);
+            if (fault) throw std::runtime_error("panel fault");
+            for (std::size_t i = 0; i < kRows; ++i) dst[i] = 2.0 * src[i];
+          });
+        },
+        [&](Stream& s, std::size_t d, std::size_t k, std::size_t slot) {
+          copy_to_host_async(s, std::span<double>(out).subspan(panel(d, k), kRows),
+                             stage_out[d][slot], 0);
+        });
+    return ran.load();
+  };
+
+  Watchdog dog("sharded pipeline with a throwing panel");
+  std::vector<double> out;
+  int throws = 0;
+  try {
+    call(true, out);
+  } catch (const std::runtime_error& e) {
+    ++throws;
+    EXPECT_STREQ(e.what(), "panel fault");
+  }
+  dog.tick();
+  EXPECT_EQ(throws, 1);
+  // Every panel after the faulty one still ran on device 1, and device 0
+  // was untouched, so the streams drained rather than stalling.
+  for (std::size_t d = 0; d < kDevices; ++d) {
+    for (std::size_t k = 0; k < kPanels; ++k) {
+      const std::size_t base = (d * kPanels + k) * kRows;
+      if (d == 1 && k == kFaultyPanel) {
+        EXPECT_NE(out[base], -1.0) << "the faulty panel's D2H never ran";
+        continue;
+      }
+      EXPECT_EQ(out[base + 5], 2.0 * static_cast<double>(base + 5)) << "device " << d
+                                                                    << " panel " << k;
+    }
+  }
+  for (std::size_t d = 0; d < kDevices; ++d) {
+    EXPECT_EQ(topo.context(d).counters().live_allocations, 0u) << "device " << d;
+  }
+
+  // The topology is reusable: a clean call on it succeeds, bit for bit.
+  EXPECT_EQ(call(false, out), static_cast<int>(kDevices * kPanels));
+  dog.tick();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], 2.0 * static_cast<double>(i)) << "i=" << i;
+  }
+  for (std::size_t d = 0; d < kDevices; ++d) {
+    EXPECT_EQ(topo.context(d).counters().live_allocations, 0u) << "device " << d;
+  }
 }
 
 }  // namespace

@@ -5,14 +5,41 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "portacheck/hooks.hpp"
+#include "watchdog.hpp"
+
+// Counting global allocator: the steady-state stream path must not
+// allocate, and this binary counts every operator new on every thread.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so GCC does not inline free() into new-expressions and
+// report a malloc/new mismatch.
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace portabench::gpusim {
 namespace {
+
+using test_support::Watchdog;
+
+// Longer than any spin budget in the runtime (the pool's 128 pauses plus
+// 512 yields included), so a waiter is parked when its signal arrives.
+constexpr auto kParkGap = std::chrono::milliseconds(2);
 
 class StreamTest : public ::testing::Test {
  protected:
@@ -249,6 +276,101 @@ TEST_F(StreamTest, EagerWaitCompletesImmediately) {
   a.record(e);
   b.wait(e);  // eager stream waits inline; event already done
   EXPECT_DOUBLE_EQ(b.now(), 2.0);
+}
+
+TEST_F(StreamTest, WorkerParksEveryRoundAndStillWakes) {
+  // The stream analogue of DispatchStress.SpinParkTransitions: the worker
+  // parks between rounds, and every round's push and completion must
+  // still wake the worker and the synchronizing host.
+  Stream s(ctx_, StreamMode::kAsync);
+  std::atomic<int> ran{0};
+  Watchdog dog("enqueue/synchronize rounds");
+  for (int round = 0; round < 500; ++round) {
+    s.enqueue(0.0, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    s.synchronize();
+    dog.tick();
+    std::this_thread::sleep_for(kParkGap);
+  }
+  EXPECT_EQ(ran.load(), 500);
+}
+
+TEST_F(StreamTest, CrossStreamWaitParksBeforeTheRecordedOpFinishes) {
+  // The waiting stream's worker reaches the wait op, and parks, while the
+  // recording stream's op is still running; finishing that op must wake it.
+  Stream producer(ctx_, StreamMode::kAsync);
+  Stream consumer(ctx_, StreamMode::kAsync);
+  if (producer.mode() != StreamMode::kAsync) GTEST_SKIP() << "sanitized run: eager only";
+  Watchdog dog("cross-stream wait rounds");
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<bool> gate{false};
+    std::atomic<int> stage{0};
+    producer.enqueue(1.0, [&] {
+      gate.wait(false);
+      stage.store(1, std::memory_order_release);
+    });
+    Event produced;
+    producer.record(produced);
+    consumer.wait(produced);
+    int observed = -1;
+    consumer.enqueue(0.0, [&] { observed = stage.load(std::memory_order_acquire); });
+    std::this_thread::sleep_for(kParkGap);  // the consumer's worker parks
+    EXPECT_FALSE(produced.query());
+    gate.store(true);
+    gate.notify_all();
+    consumer.synchronize();
+    EXPECT_EQ(observed, 1) << "round " << round;
+    EXPECT_TRUE(produced.query());
+    dog.tick();
+  }
+  producer.synchronize();
+}
+
+TEST_F(StreamTest, RecordAndWaitAllocateNothing) {
+  // record() is a snapshot and wait() an inline-stored op holding the
+  // recording stream's timeline: once the queues reach their high-water
+  // capacity, the record/wait/synchronize cycle allocates nothing.
+  Stream a(ctx_, StreamMode::kAsync);
+  Stream b(ctx_, StreamMode::kAsync);
+  std::atomic<int> ran{0};
+  const auto round = [&] {
+    a.enqueue(0.5, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    Event ev;
+    a.record(ev);
+    b.wait(ev);
+    b.synchronize();
+  };
+  for (int i = 0; i < 100; ++i) round();  // warm-up
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) round();
+  const std::size_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(ran.load(), 1100);
+  EXPECT_DOUBLE_EQ(b.now(), a.now());
+}
+
+TEST_F(StreamTest, WaitOutlivesItsEventAndTheRecordingStream) {
+  // A wait op queued behind a blocked op runs after both the Event and the
+  // recording stream are gone: the op itself keeps the timeline alive.
+  Stream consumer(ctx_, StreamMode::kAsync);
+  if (consumer.mode() != StreamMode::kAsync) GTEST_SKIP() << "sanitized run: eager only";
+  std::atomic<bool> gate{false};
+  consumer.enqueue(0.0, [&gate] { gate.wait(false); });
+  std::atomic<int> upstream{0};
+  {
+    Stream producer(ctx_, StreamMode::kAsync);
+    producer.enqueue(1.0, [&upstream] { upstream.store(1, std::memory_order_release); });
+    Event ev;
+    producer.record(ev);
+    consumer.wait(ev);
+  }  // the Event and the producer (after draining) are destroyed here
+  int observed = 0;
+  consumer.enqueue(0.0, [&] { observed = upstream.load(std::memory_order_acquire); });
+  gate.store(true);
+  gate.notify_all();
+  Watchdog dog("wait after its Event and stream are gone");
+  consumer.synchronize();
+  EXPECT_EQ(observed, 1);
+  EXPECT_DOUBLE_EQ(consumer.now(), 1.0);
 }
 
 }  // namespace

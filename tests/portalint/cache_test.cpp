@@ -9,7 +9,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cache.hpp"
 #include "engine.hpp"
@@ -20,11 +23,20 @@ namespace {
 
 class CacheTest : public ::testing::Test {
  protected:
+  // ctest runs each case as its own process, in parallel under -j, so
+  // every case gets a directory named from its test name and pid.
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "portalint_cache_test";
+    const std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = fs::path(::testing::TempDir()) /
+           ("portalint_cache_test_" + name + "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     cache_ = dir_ / "analysis.cache";
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
   }
 
   fs::path write(const std::string& name, const std::string& text) {
