@@ -14,9 +14,9 @@
 //                panels: scalar baseline vs every ISA tier the host
 //                supports, in FLOP/s (this is the paper-facing number —
 //                how much inner-loop throughput explicit SIMD recovers).
-//   gemm         full gemm_tiled at --n vs an embedded copy of the
-//                pre-SIMD implementation (scalar micro-kernel,
-//                per-element packing) — the end-to-end delta.
+//   gemm         full gemm_tiled at --n vs the same driver at the scalar
+//                tier (tiled_detail::gemm_tiled_with over the scalar
+//                micro-kernel) — the end-to-end delta.
 //
 // Gates: --require-kernel X fails the run unless the float micro-kernel's
 // dispatched-tier FLOP/s reach X times the scalar kernel's; and
@@ -69,79 +69,6 @@ double best_ms(std::size_t samples, F&& f) {
     best = std::min(best, timer.seconds() * 1e3);
   }
   return best;
-}
-
-// --- the pre-SIMD tiled GEMM, verbatim semantics ----------------------------
-//
-// A faithful copy of the implementation this PR vectorized: scalar
-// micro-kernel inlined in the loop, per-element T->Acc packing.  Kept
-// here (not in src/) purely as the end-to-end measurement baseline.
-template <class Acc, class Space, class VA, class VB, class VC>
-void legacy_gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C) {
-  using TC = typename VC::value_type;
-  constexpr std::size_t MR = 4, NR = 8, KC = 256, MC = 64;
-  const std::size_t m = A.extent(0);
-  const std::size_t k = A.extent(1);
-  const std::size_t n = B.extent(1);
-  const std::size_t n_panels = (n + NR - 1) / NR;
-  const std::size_t m_blocks = (m + MC - 1) / MC;
-  std::vector<Acc> Bp(n_panels * KC * NR);
-  for (std::size_t pc = 0; pc < k; pc += KC) {
-    const std::size_t kc = std::min(KC, k - pc);
-    for (std::size_t jp = 0; jp < n_panels; ++jp) {
-      Acc* panel = Bp.data() + jp * KC * NR;
-      const std::size_t j0 = jp * NR;
-      const std::size_t nr = std::min(NR, n - j0);
-      for (std::size_t l = 0; l < kc; ++l) {
-        for (std::size_t jj = 0; jj < nr; ++jj) {
-          panel[l * NR + jj] = static_cast<Acc>(B(pc + l, j0 + jj));
-        }
-        for (std::size_t jj = nr; jj < NR; ++jj) panel[l * NR + jj] = Acc{};
-      }
-    }
-    simrt::parallel_for(space, simrt::RangePolicy(0, m_blocks), [&](std::size_t bi) {
-      const std::size_t ic = bi * MC;
-      const std::size_t mc = std::min(MC, m - ic);
-      const std::size_t m_panels = (mc + MR - 1) / MR;
-      std::vector<Acc> Ap(m_panels * kc * MR);
-      for (std::size_t ip = 0; ip < m_panels; ++ip) {
-        Acc* panel = Ap.data() + ip * kc * MR;
-        const std::size_t i0 = ic + ip * MR;
-        const std::size_t mr = std::min(MR, m - i0);
-        for (std::size_t l = 0; l < kc; ++l) {
-          for (std::size_t ii = 0; ii < mr; ++ii) {
-            panel[l * MR + ii] = static_cast<Acc>(A(i0 + ii, pc + l));
-          }
-          for (std::size_t ii = mr; ii < MR; ++ii) panel[l * MR + ii] = Acc{};
-        }
-      }
-      for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        const Acc* bp = Bp.data() + jp * KC * NR;
-        const std::size_t j0 = jp * NR;
-        const std::size_t nr = std::min(NR, n - j0);
-        for (std::size_t ip = 0; ip < m_panels; ++ip) {
-          const Acc* ap = Ap.data() + ip * kc * MR;
-          const std::size_t i0 = ic + ip * MR;
-          const std::size_t mr = std::min(MR, m - i0);
-          Acc acc[MR][NR] = {};
-          for (std::size_t l = 0; l < kc; ++l) {
-            const Acc* a = ap + l * MR;
-            const Acc* b = bp + l * NR;
-            for (std::size_t ii = 0; ii < MR; ++ii) {
-              const Acc av = a[ii];
-              for (std::size_t jj = 0; jj < NR; ++jj) acc[ii][jj] += av * b[jj];
-            }
-          }
-          for (std::size_t ii = 0; ii < mr; ++ii) {
-            for (std::size_t jj = 0; jj < nr; ++jj) {
-              C(i0 + ii, j0 + jj) = static_cast<TC>(
-                  static_cast<Acc>(C(i0 + ii, j0 + jj)) + acc[ii][jj]);
-            }
-          }
-        }
-      }
-    });
-  }
 }
 
 // --- scalar axpy baseline (same two rounded ops per element) ----------------
@@ -389,7 +316,7 @@ int main(int argc, char** argv) {
                "bitwise-verified) --\n"
             << kernel_table.to_markdown() << "\n";
 
-  // --- gemm: end-to-end tiled GEMM vs the pre-SIMD implementation -----------
+  // --- gemm: end-to-end tiled GEMM vs the same driver at the scalar tier ----
   struct GemmRow {
     const char* type;
     double legacy_ms;
@@ -400,7 +327,7 @@ int main(int argc, char** argv) {
   {
     const std::size_t n = opt.n;
     simrt::SerialSpace space;
-    simrt::View2<float> A(n, n), B(n, n), C_legacy(n, n), C_simd(n, n);
+    simrt::View2<float> A(n, n), B(n, n), C_scalar(n, n), C_simd(n, n);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         A(i, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -409,9 +336,11 @@ int main(int argc, char** argv) {
     }
     const double legacy_ms = best_ms(opt.samples, [&] {
       for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) C_legacy(i, j) = 0.0f;
+        for (std::size_t j = 0; j < n; ++j) C_scalar(i, j) = 0.0f;
       }
-      legacy_gemm_tiled<float>(space, A, B, C_legacy);
+      namespace td = gemm::tiled_detail;
+      td::gemm_tiled_with(space, td::microkernel_for_tier<float>(simrt::SimdTier::kScalar), A,
+                          B, C_scalar);
     });
     const double simd_ms = best_ms(opt.samples, [&] {
       for (std::size_t i = 0; i < n; ++i) {
@@ -422,19 +351,19 @@ int main(int argc, char** argv) {
     bool same = true;
     for (std::size_t i = 0; i < n && same; ++i) {
       for (std::size_t j = 0; j < n && same; ++j) {
-        const float a = C_legacy(i, j);
+        const float a = C_scalar(i, j);
         const float b = C_simd(i, j);
         same = std::memcmp(&a, &b, sizeof(float)) == 0;
       }
     }
     if (!same) {
-      std::cerr << "FAILED: gemm_tiled result differs from the pre-SIMD baseline\n";
+      std::cerr << "FAILED: gemm_tiled result differs from the scalar-tier baseline\n";
       ++failures;
     }
     gemm_rows.push_back({"float", legacy_ms, simd_ms, legacy_ms / simd_ms});
   }
 
-  Table gemm_table({"type", "pre-SIMD (ms)", "simd (ms)", "speedup"});
+  Table gemm_table({"type", "scalar tier (ms)", "simd (ms)", "speedup"});
   for (const auto& r : gemm_rows) {
     gemm_table.add_row({r.type, Table::num(r.legacy_ms, 2), Table::num(r.simd_ms, 2),
                         Table::num(r.speedup, 2)});

@@ -7,14 +7,18 @@
 // normalized against in the Eq.-2 efficiency machinery (how much of what
 // a tuned native implementation extracts does each model's idiom reach?).
 //
-// Structure (classic three-loop blocking around a micro-kernel):
-//   for pc over k in KC steps:         pack B[pc:pc+kc, :] into NR-wide
-//                                      column panels (serial, shared)
-//     parallel_for over MC row blocks: pack A[ic:ic+mc, pc:pc+kc] into
-//                                      MR-tall row panels (thread-local)
-//       for each NR column panel:
-//         for each MR row panel:       MR x NR register-blocked
-//                                      micro-kernel over the packed data
+// Three pieces (tiled_detail), after BLIS's split of the loop nest:
+//   pack_b        one KC x n slab of B into NR-wide column panels
+//   pack_a        one MC x KC block of A into MR-tall row panels
+//   macro_kernel  the MR x NR micro-kernel on every (B panel, A panel)
+//                 pair, each tile's valid corner added into C
+// and two drivers over them, both looping
+//   for pc over k in KC steps:  pack_b (once, shared by every row block)
+//     for each MC row block:    pack_a, then macro_kernel
+//   gemm_tiled                 row blocks under parallel_for; B panels
+//                              allocated per call, A panels per block
+//   gemm_tiled_serial_scratch  row blocks in order on the calling thread,
+//                              panels carved from caller scratch
 //
 // Panels are zero-padded to full MR/NR width so the micro-kernel is
 // branch-free; edge handling happens only at writeback.  Packing converts
@@ -31,13 +35,14 @@
 // vector tier reuses it rather than shipping a same-width copy).  Panel
 // width NR follows the kernel (8 scalar/AVX2, 16 for AVX-512 float).
 //
-// Determinism contract: every tier produces bit-identical C.  Each
-// C(i,j) accumulates a(i,l)*b(l,j) over l strictly ascending into one
-// accumulator as two rounded IEEE ops (mul then add — fma() here is the
-// two-op form and -ffp-contract=off keeps hardware FMA out), and that
-// per-element order is invariant under lane width, unroll factor, and
-// panel geometry; zero-padded lanes feed only discarded accumulators.
-// The sanitized test tier pins scalar vs every available SIMD tier.
+// Determinism contract: every tier and both drivers produce bit-identical
+// C.  Each C(i,j) accumulates a(i,l)*b(l,j) over l strictly ascending
+// into one accumulator as two rounded IEEE ops (mul then add — fma() here
+// is the two-op form and -ffp-contract=off, which every consumer inherits
+// from portabench::common, keeps hardware FMA out), and that per-element
+// order is invariant under lane width, unroll factor, panel geometry and
+// row blocking; zero-padded lanes feed only discarded accumulators.  The
+// sanitized test tier pins scalar vs every available SIMD tier.
 //
 // Half/bfloat16 operands with addressable row-major storage are packed
 // through the batched convert_n() converters (common/half_convert.hpp)
@@ -245,156 +250,159 @@ inline constexpr bool batched_pack_ok_v =
     (std::is_same_v<typename V::value_type, half> ||
      std::is_same_v<typename V::value_type, bfloat16>);
 
-}  // namespace tiled_detail
-
-/// Optimized tiled GEMM: C += A * B, any layout mix, accumulation in Acc.
-/// Parallelized over MC row blocks of C (disjoint output rows per
-/// iteration, so the kernel is race-free by construction and sanitizes
-/// cleanly under portacheck).
-template <class Acc, class Space, class VA, class VB, class VC>
-void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
-                const TileConfig& cfg = {}) {
-  using TC = typename VC::value_type;
-  using namespace tiled;
-  namespace td = tiled_detail;
-  const std::size_t m = A.extent(0);
-  const std::size_t k = A.extent(1);
-  const std::size_t n = B.extent(1);
-  PB_EXPECTS(B.extent(0) == k);
-  PB_EXPECTS(C.extent(0) == m && C.extent(1) == n);
+/// Checks the C += A*B shapes and the row blocking; false when the
+/// product is empty.
+template <class VA, class VB, class VC>
+bool gemm_shapes_ok(const VA& A, const VB& B, const VC& C, const TileConfig& cfg) {
+  PB_EXPECTS(B.extent(0) == A.extent(1));
+  PB_EXPECTS(C.extent(0) == A.extent(0) && C.extent(1) == B.extent(1));
   PB_EXPECTS(cfg.mc > 0);
-  if (m == 0 || n == 0 || k == 0) return;
+  return A.extent(0) != 0 && A.extent(1) != 0 && B.extent(1) != 0;
+}
 
-  const td::MicroKernel<Acc> mk = td::pick_microkernel<Acc>();
-  const std::size_t mc_blk = cfg.mc;
-  const std::size_t nr_panel = mk.nr;
+/// Pack rows [pc, pc+kc) of B into ceil(n/nr_panel) column panels, each
+/// kc x nr_panel row-major and zero-padded past column n.  `rowbuf` (n
+/// elements) stages the batched conversion; the per-element path never
+/// touches it.
+template <class Acc, class VB>
+void pack_b(const VB& B, std::size_t pc, std::size_t kc, std::size_t nr_panel, Acc* Bp,
+            Acc* rowbuf) {
+  const std::size_t n = B.extent(1);
   const std::size_t n_panels = (n + nr_panel - 1) / nr_panel;
-  const std::size_t m_blocks = (m + mc_blk - 1) / mc_blk;
-
-  // Shared packed-B storage for one KC step: n_panels panels, each a
-  // kc x nr_panel slab in row-major panel order (zero-padded to nr_panel).
-  std::vector<Acc> Bp(n_panels * kKC * nr_panel);
-
-  for (std::size_t pc = 0; pc < k; pc += kKC) {
-    const std::size_t kc = std::min(kKC, k - pc);
-
-    // Pack B serially: read-only inside the parallel region below.
-    bool b_packed = false;
-    if constexpr (td::batched_pack_ok_v<VB, Acc>) {
-      if (B.stride(1) == 1) {
-        // Batched path: convert each source row once (SIMD convert_n),
-        // then scatter contiguous float segments into the panels.
-        std::vector<Acc> rowbuf(n);
-        for (std::size_t l = 0; l < kc; ++l) {
-          convert_n(B.data() + (pc + l) * B.stride(0), rowbuf.data(), n);
-          for (std::size_t jp = 0; jp < n_panels; ++jp) {
-            Acc* row = Bp.data() + jp * kKC * nr_panel + l * nr_panel;
-            const std::size_t j0 = jp * nr_panel;
-            const std::size_t nr = std::min(nr_panel, n - j0);
-            std::memcpy(row, rowbuf.data() + j0, nr * sizeof(Acc));
-            for (std::size_t jj = nr; jj < nr_panel; ++jj) row[jj] = Acc{};
-          }
+  if constexpr (batched_pack_ok_v<VB, Acc>) {
+    if (B.stride(1) == 1) {
+      // Convert each source row once (SIMD convert_n), then scatter
+      // contiguous segments into the panels.
+      for (std::size_t l = 0; l < kc; ++l) {
+        convert_n(B.data() + (pc + l) * B.stride(0), rowbuf, n);
+        for (std::size_t jp = 0; jp < n_panels; ++jp) {
+          Acc* row = Bp + (jp * kc + l) * nr_panel;
+          const std::size_t j0 = jp * nr_panel;
+          const std::size_t nr = std::min(nr_panel, n - j0);
+          std::memcpy(row, rowbuf + j0, nr * sizeof(Acc));
+          for (std::size_t jj = nr; jj < nr_panel; ++jj) row[jj] = Acc{};
         }
-        b_packed = true;
       }
+      return;
     }
-    if (!b_packed) {
-      for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        Acc* panel = Bp.data() + jp * kKC * nr_panel;
-        const std::size_t j0 = jp * nr_panel;
-        const std::size_t nr = std::min(nr_panel, n - j0);
-        for (std::size_t l = 0; l < kc; ++l) {
-          for (std::size_t jj = 0; jj < nr; ++jj) {
-            panel[l * nr_panel + jj] = static_cast<Acc>(B(pc + l, j0 + jj));
-          }
-          for (std::size_t jj = nr; jj < nr_panel; ++jj) panel[l * nr_panel + jj] = Acc{};
-        }
+  }
+  for (std::size_t jp = 0; jp < n_panels; ++jp) {
+    Acc* panel = Bp + jp * kc * nr_panel;
+    const std::size_t j0 = jp * nr_panel;
+    const std::size_t nr = std::min(nr_panel, n - j0);
+    for (std::size_t l = 0; l < kc; ++l) {
+      for (std::size_t jj = 0; jj < nr; ++jj) {
+        panel[l * nr_panel + jj] = static_cast<Acc>(B(pc + l, j0 + jj));
       }
+      for (std::size_t jj = nr; jj < nr_panel; ++jj) panel[l * nr_panel + jj] = Acc{};
     }
-
-    simrt::parallel_for(space, simrt::RangePolicy(0, m_blocks), [&](std::size_t bi) {
-      const std::size_t ic = bi * mc_blk;
-      const std::size_t mc = std::min(mc_blk, m - ic);
-      const std::size_t m_panels = (mc + kMR - 1) / kMR;
-
-      // Thread-local packed A block: m_panels panels of kc x kMR.
-      std::vector<Acc> Ap(m_panels * kc * kMR);
-      bool a_packed = false;
-      if constexpr (td::batched_pack_ok_v<VA, Acc>) {
-        if (A.stride(1) == 1) {
-          // Batched path: convert each A row's k-segment once, then
-          // scatter down the MR-interleaved panel layout.
-          std::vector<Acc> rowbuf(kc);
-          for (std::size_t ip = 0; ip < m_panels; ++ip) {
-            Acc* panel = Ap.data() + ip * kc * kMR;
-            const std::size_t i0 = ic + ip * kMR;
-            const std::size_t mr = std::min(kMR, m - i0);
-            for (std::size_t ii = 0; ii < mr; ++ii) {
-              convert_n(A.data() + (i0 + ii) * A.stride(0) + pc, rowbuf.data(), kc);
-              for (std::size_t l = 0; l < kc; ++l) panel[l * kMR + ii] = rowbuf[l];
-            }
-            for (std::size_t ii = mr; ii < kMR; ++ii) {
-              for (std::size_t l = 0; l < kc; ++l) panel[l * kMR + ii] = Acc{};
-            }
-          }
-          a_packed = true;
-        }
-      }
-      if (!a_packed) {
-        for (std::size_t ip = 0; ip < m_panels; ++ip) {
-          Acc* panel = Ap.data() + ip * kc * kMR;
-          const std::size_t i0 = ic + ip * kMR;
-          const std::size_t mr = std::min(kMR, m - i0);
-          for (std::size_t l = 0; l < kc; ++l) {
-            for (std::size_t ii = 0; ii < mr; ++ii) {
-              panel[l * kMR + ii] = static_cast<Acc>(A(i0 + ii, pc + l));
-            }
-            for (std::size_t ii = mr; ii < kMR; ++ii) panel[l * kMR + ii] = Acc{};
-          }
-        }
-      }
-
-      for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        const Acc* bp = Bp.data() + jp * kKC * nr_panel;
-        const std::size_t j0 = jp * nr_panel;
-        const std::size_t nr = std::min(nr_panel, n - j0);
-        for (std::size_t ip = 0; ip < m_panels; ++ip) {
-          const Acc* ap = Ap.data() + ip * kc * kMR;
-          const std::size_t i0 = ic + ip * kMR;
-          const std::size_t mr = std::min(kMR, m - i0);
-
-          // Branch-free MR x NR micro-kernel over the packed panels.
-          Acc acc[kMR * kNRMax] = {};
-          mk.fn(ap, bp, kc, acc);
-
-          // Edge-aware writeback: only the valid mr x nr corner lands in C.
-          for (std::size_t ii = 0; ii < mr; ++ii) {
-            for (std::size_t jj = 0; jj < nr; ++jj) {
-              C(i0 + ii, j0 + jj) = static_cast<TC>(
-                  static_cast<Acc>(C(i0 + ii, j0 + jj)) + acc[ii * nr_panel + jj]);
-            }
-          }
-        }
-      }
-    });
   }
 }
 
-// ---------------------------------------------------------------------------
-// Scratch-based serial variant + batched entry point (the serving layer's
-// "one tiled-microkernel launch per size bucket").
-//
-// gemm_tiled above allocates its packing panels per call — fine for the
-// one-shot paper protocol, fatal for a request engine that must stream
-// millions of small GEMMs with zero steady-state allocation.  The serial
-// variant takes caller scratch (a pooled arena slice) instead, runs the
-// MC blocks in their natural order on one thread, and reuses the exact
-// packing loops and micro-kernel of gemm_tiled, so its C is bit-identical
-// to gemm_tiled over a SerialSpace (the determinism contract above makes
-// that equivalence total, not incidental).
-// ---------------------------------------------------------------------------
+/// Pack rows [ic, ic+mc) x columns [pc, pc+kc) of A into ceil(mc/kMR)
+/// row panels, each kc x kMR with its kMR rows interleaved and
+/// zero-padded past row ic+mc.  `rowbuf` (kc elements) stages the
+/// batched conversion.
+template <class Acc, class VA>
+void pack_a(const VA& A, std::size_t ic, std::size_t mc, std::size_t pc, std::size_t kc,
+            Acc* Ap, Acc* rowbuf) {
+  using tiled::kMR;
+  const std::size_t m_panels = (mc + kMR - 1) / kMR;
+  if constexpr (batched_pack_ok_v<VA, Acc>) {
+    if (A.stride(1) == 1) {
+      // Convert each row's k-segment once, then scatter it down the
+      // MR-interleaved panel layout.
+      for (std::size_t ip = 0; ip < m_panels; ++ip) {
+        Acc* panel = Ap + ip * kc * kMR;
+        const std::size_t i0 = ic + ip * kMR;
+        const std::size_t mr = std::min(kMR, ic + mc - i0);
+        for (std::size_t ii = 0; ii < mr; ++ii) {
+          convert_n(A.data() + (i0 + ii) * A.stride(0) + pc, rowbuf, kc);
+          for (std::size_t l = 0; l < kc; ++l) panel[l * kMR + ii] = rowbuf[l];
+        }
+        for (std::size_t ii = mr; ii < kMR; ++ii) {
+          for (std::size_t l = 0; l < kc; ++l) panel[l * kMR + ii] = Acc{};
+        }
+      }
+      return;
+    }
+  }
+  for (std::size_t ip = 0; ip < m_panels; ++ip) {
+    Acc* panel = Ap + ip * kc * kMR;
+    const std::size_t i0 = ic + ip * kMR;
+    const std::size_t mr = std::min(kMR, ic + mc - i0);
+    for (std::size_t l = 0; l < kc; ++l) {
+      for (std::size_t ii = 0; ii < mr; ++ii) {
+        panel[l * kMR + ii] = static_cast<Acc>(A(i0 + ii, pc + l));
+      }
+      for (std::size_t ii = mr; ii < kMR; ++ii) panel[l * kMR + ii] = Acc{};
+    }
+  }
+}
 
-namespace tiled_detail {
+/// C[ic:ic+mc, :] += the packed A block times the packed B slab of one KC
+/// step: the branch-free micro-kernel on every (B panel, A panel) pair,
+/// then an edge-aware writeback that adds only the tile's valid mr x nr
+/// corner into C.
+template <class Acc, class VC>
+void macro_kernel(MicroKernel<Acc> mk, const Acc* Ap, const Acc* Bp, std::size_t ic,
+                  std::size_t mc, std::size_t kc, VC& C) {
+  using TC = typename VC::value_type;
+  using tiled::kMR;
+  const std::size_t n = C.extent(1);
+  const std::size_t n_panels = (n + mk.nr - 1) / mk.nr;
+  const std::size_t m_panels = (mc + kMR - 1) / kMR;
+  for (std::size_t jp = 0; jp < n_panels; ++jp) {
+    const Acc* bp = Bp + jp * kc * mk.nr;
+    const std::size_t j0 = jp * mk.nr;
+    const std::size_t nr = std::min(mk.nr, n - j0);
+    for (std::size_t ip = 0; ip < m_panels; ++ip) {
+      const std::size_t i0 = ic + ip * kMR;
+      const std::size_t mr = std::min(kMR, ic + mc - i0);
+      Acc acc[kMR * tiled::kNRMax] = {};
+      mk.fn(Ap + ip * kc * kMR, bp, kc, acc);
+      for (std::size_t ii = 0; ii < mr; ++ii) {
+        for (std::size_t jj = 0; jj < nr; ++jj) {
+          C(i0 + ii, j0 + jj) =
+              static_cast<TC>(static_cast<Acc>(C(i0 + ii, j0 + jj)) + acc[ii * mk.nr + jj]);
+        }
+      }
+    }
+  }
+}
+
+/// gemm_tiled over an explicit micro-kernel (micro_simd runs it at the
+/// scalar tier as its baseline).  B is packed once per KC step and shared
+/// read-only by every row block; each row block packs its own A.
+template <class Acc, class Space, class VA, class VB, class VC>
+void gemm_tiled_with(const Space& space, MicroKernel<Acc> mk, const VA& A, const VB& B, VC& C,
+                     const TileConfig& cfg = {}) {
+  using namespace tiled;
+  if (!gemm_shapes_ok(A, B, C, cfg)) return;
+  const std::size_t m = A.extent(0);
+  const std::size_t k = A.extent(1);
+  const std::size_t n = B.extent(1);
+  const std::size_t m_blocks = (m + cfg.mc - 1) / cfg.mc;
+
+  // One allocation per call for the packed B slab and the row buffer its
+  // batched conversion stages through.
+  const std::size_t bp_size = (n + mk.nr - 1) / mk.nr * mk.nr * std::min(k, kKC);
+  std::vector<Acc> Bp(bp_size + (batched_pack_ok_v<VB, Acc> ? n : 0));
+
+  for (std::size_t pc = 0; pc < k; pc += kKC) {
+    const std::size_t kc = std::min(kKC, k - pc);
+    pack_b(B, pc, kc, mk.nr, Bp.data(), Bp.data() + bp_size);
+    simrt::parallel_for(space, simrt::RangePolicy(0, m_blocks), [&](std::size_t bi) {
+      const std::size_t ic = bi * cfg.mc;
+      const std::size_t mc = std::min(cfg.mc, m - ic);
+      // Block-local packed A and its conversion row buffer.
+      const std::size_t ap_size = (mc + kMR - 1) / kMR * kMR * kc;
+      std::vector<Acc> Ap(ap_size + (batched_pack_ok_v<VA, Acc> ? kc : 0));
+      pack_a(A, ic, mc, pc, kc, Ap.data(), Ap.data() + ap_size);
+      macro_kernel(mk, Ap.data(), Bp.data(), ic, mc, kc, C);
+    });
+  }
+}
 
 /// Align `p` up inside a byte span; panels hold Acc so alignment is cheap
 /// slack, not a correctness requirement for the SIMD loads (the
@@ -406,6 +414,28 @@ inline std::byte* scratch_align(std::byte* p, std::size_t alignment) noexcept {
 }
 
 }  // namespace tiled_detail
+
+/// Optimized tiled GEMM: C += A * B, any layout mix, accumulation in Acc.
+/// Parallelized over MC row blocks of C (disjoint output rows per
+/// iteration, so the kernel is race-free by construction and sanitizes
+/// cleanly under portacheck).
+template <class Acc, class Space, class VA, class VB, class VC>
+void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
+                const TileConfig& cfg = {}) {
+  tiled_detail::gemm_tiled_with(space, tiled_detail::pick_microkernel<Acc>(), A, B, C, cfg);
+}
+
+// ---------------------------------------------------------------------------
+// Scratch-based serial driver + batched entry point (the serving layer's
+// "one tiled-microkernel launch per size bucket").
+//
+// gemm_tiled above allocates its packing panels per call — fine for the
+// one-shot paper protocol, fatal for a request engine that must stream
+// millions of small GEMMs with zero steady-state allocation.  The serial
+// driver takes caller scratch (a pooled arena slice) instead and runs the
+// same pieces over the MC blocks in their natural order on one thread,
+// so its C is bit-identical to gemm_tiled over any space.
+// ---------------------------------------------------------------------------
 
 /// Scratch bytes gemm_tiled_serial_scratch needs for an m x n x k GEMM
 /// accumulating in Acc (an upper bound valid for every micro-kernel tier).
@@ -426,123 +456,33 @@ template <class Acc>
 template <class Acc, class VA, class VB, class VC>
 void gemm_tiled_serial_scratch(const VA& A, const VB& B, VC& C, std::span<std::byte> scratch,
                                const TileConfig& cfg = {}) {
-  using TC = typename VC::value_type;
   using namespace tiled;
   namespace td = tiled_detail;
+  if (!td::gemm_shapes_ok(A, B, C, cfg)) return;
   const std::size_t m = A.extent(0);
   const std::size_t k = A.extent(1);
   const std::size_t n = B.extent(1);
-  PB_EXPECTS(B.extent(0) == k);
-  PB_EXPECTS(C.extent(0) == m && C.extent(1) == n);
-  PB_EXPECTS(cfg.mc > 0);
-  if (m == 0 || n == 0 || k == 0) return;
   PB_EXPECTS(scratch.size() >= gemm_tiled_scratch_bytes<Acc>(m, n, k, cfg));
 
+  // Carve the packed B slab, the packed A block and the conversion row
+  // buffer out of the scratch span.
   const td::MicroKernel<Acc> mk = td::pick_microkernel<Acc>();
-  const std::size_t mc_blk = cfg.mc;
-  const std::size_t nr_panel = mk.nr;
-  const std::size_t n_panels = (n + nr_panel - 1) / nr_panel;
-  const std::size_t m_blocks = (m + mc_blk - 1) / mc_blk;
-
-  // Carve the three packing areas out of the scratch span.
+  const std::size_t bp_size = (n + mk.nr - 1) / mk.nr * mk.nr * kKC;
+  const std::size_t ap_size = (std::min(m, cfg.mc) + kMR - 1) / kMR * kMR * kKC;
   std::byte* cursor = td::scratch_align(scratch.data(), 64);
   Acc* const Bp = reinterpret_cast<Acc*>(cursor);
-  cursor = td::scratch_align(cursor + n_panels * kKC * nr_panel * sizeof(Acc), 64);
+  cursor = td::scratch_align(cursor + bp_size * sizeof(Acc), 64);
   Acc* const Ap = reinterpret_cast<Acc*>(cursor);
-  cursor = td::scratch_align(
-      cursor + ((std::min(m, mc_blk) + kMR) / kMR) * kKC * kMR * sizeof(Acc), 64);
+  cursor = td::scratch_align(cursor + ap_size * sizeof(Acc), 64);
   Acc* const rowbuf = reinterpret_cast<Acc*>(cursor);
 
   for (std::size_t pc = 0; pc < k; pc += kKC) {
     const std::size_t kc = std::min(kKC, k - pc);
-
-    bool b_packed = false;
-    if constexpr (td::batched_pack_ok_v<VB, Acc>) {
-      if (B.stride(1) == 1) {
-        for (std::size_t l = 0; l < kc; ++l) {
-          convert_n(B.data() + (pc + l) * B.stride(0), rowbuf, n);
-          for (std::size_t jp = 0; jp < n_panels; ++jp) {
-            Acc* row = Bp + jp * kKC * nr_panel + l * nr_panel;
-            const std::size_t j0 = jp * nr_panel;
-            const std::size_t nr = std::min(nr_panel, n - j0);
-            std::memcpy(row, rowbuf + j0, nr * sizeof(Acc));
-            for (std::size_t jj = nr; jj < nr_panel; ++jj) row[jj] = Acc{};
-          }
-        }
-        b_packed = true;
-      }
-    }
-    if (!b_packed) {
-      for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        Acc* panel = Bp + jp * kKC * nr_panel;
-        const std::size_t j0 = jp * nr_panel;
-        const std::size_t nr = std::min(nr_panel, n - j0);
-        for (std::size_t l = 0; l < kc; ++l) {
-          for (std::size_t jj = 0; jj < nr; ++jj) {
-            panel[l * nr_panel + jj] = static_cast<Acc>(B(pc + l, j0 + jj));
-          }
-          for (std::size_t jj = nr; jj < nr_panel; ++jj) panel[l * nr_panel + jj] = Acc{};
-        }
-      }
-    }
-
-    for (std::size_t bi = 0; bi < m_blocks; ++bi) {
-      const std::size_t ic = bi * mc_blk;
-      const std::size_t mc = std::min(mc_blk, m - ic);
-      const std::size_t m_panels = (mc + kMR - 1) / kMR;
-
-      bool a_packed = false;
-      if constexpr (td::batched_pack_ok_v<VA, Acc>) {
-        if (A.stride(1) == 1) {
-          for (std::size_t ip = 0; ip < m_panels; ++ip) {
-            Acc* panel = Ap + ip * kc * kMR;
-            const std::size_t i0 = ic + ip * kMR;
-            const std::size_t mr = std::min(kMR, m - i0);
-            for (std::size_t ii = 0; ii < mr; ++ii) {
-              convert_n(A.data() + (i0 + ii) * A.stride(0) + pc, rowbuf, kc);
-              for (std::size_t l = 0; l < kc; ++l) panel[l * kMR + ii] = rowbuf[l];
-            }
-            for (std::size_t ii = mr; ii < kMR; ++ii) {
-              for (std::size_t l = 0; l < kc; ++l) panel[l * kMR + ii] = Acc{};
-            }
-          }
-          a_packed = true;
-        }
-      }
-      if (!a_packed) {
-        for (std::size_t ip = 0; ip < m_panels; ++ip) {
-          Acc* panel = Ap + ip * kc * kMR;
-          const std::size_t i0 = ic + ip * kMR;
-          const std::size_t mr = std::min(kMR, m - i0);
-          for (std::size_t l = 0; l < kc; ++l) {
-            for (std::size_t ii = 0; ii < mr; ++ii) {
-              panel[l * kMR + ii] = static_cast<Acc>(A(i0 + ii, pc + l));
-            }
-            for (std::size_t ii = mr; ii < kMR; ++ii) panel[l * kMR + ii] = Acc{};
-          }
-        }
-      }
-
-      for (std::size_t jp = 0; jp < n_panels; ++jp) {
-        const Acc* bp = Bp + jp * kKC * nr_panel;
-        const std::size_t j0 = jp * nr_panel;
-        const std::size_t nr = std::min(nr_panel, n - j0);
-        for (std::size_t ip = 0; ip < m_panels; ++ip) {
-          const Acc* ap = Ap + ip * kc * kMR;
-          const std::size_t i0 = ic + ip * kMR;
-          const std::size_t mr = std::min(kMR, m - i0);
-
-          Acc acc[kMR * kNRMax] = {};
-          mk.fn(ap, bp, kc, acc);
-
-          for (std::size_t ii = 0; ii < mr; ++ii) {
-            for (std::size_t jj = 0; jj < nr; ++jj) {
-              C(i0 + ii, j0 + jj) = static_cast<TC>(
-                  static_cast<Acc>(C(i0 + ii, j0 + jj)) + acc[ii * nr_panel + jj]);
-            }
-          }
-        }
-      }
+    td::pack_b(B, pc, kc, mk.nr, Bp, rowbuf);
+    for (std::size_t ic = 0; ic < m; ic += cfg.mc) {
+      const std::size_t mc = std::min(cfg.mc, m - ic);
+      td::pack_a(A, ic, mc, pc, kc, Ap, rowbuf);
+      td::macro_kernel(mk, Ap, Bp, ic, mc, kc, C);
     }
   }
 }

@@ -29,7 +29,6 @@
 #include "dim3.hpp"
 #include "engine.hpp"
 #include "portacheck/hooks.hpp"
-#include "simrt/parallel.hpp"
 
 namespace portabench::gpusim {
 
@@ -155,32 +154,6 @@ void launch(DeviceContext& ctx, const Dim3& grid, const Dim3& block, F&& kernel)
         tc.block_idx = detail::block_from_linear(grid, linear);
         detail::run_block_lanes(tc, kernel);
       });
-}
-
-/// Execute a grid with host-side parallelism across blocks on an explicit
-/// simrt execution space (kept for callers that manage their own host
-/// resources; the 4-argument launch() is the default engine-backed path).
-template <class F>
-void launch(DeviceContext& ctx, const simrt::ThreadsSpace& host, const Dim3& grid,
-            const Dim3& block, F&& kernel) {
-  ctx.validate_launch_cached(grid, block, 0);
-  ctx.note_launch(grid, block);
-
-  const std::size_t num_blocks = grid.volume();
-  const bool checked = portacheck::active();
-  // Block order permutation comes from the checked parallel_for dispatch;
-  // here we only refine the shadow lane from per-block to per-SIMT-thread.
-  simrt::parallel_for(host, simrt::RangePolicy(0, num_blocks), [&](std::size_t linear) {
-    ThreadCtx tc;
-    tc.grid_dim = grid;
-    tc.block_dim = block;
-    tc.block_idx = detail::block_from_linear(grid, linear);
-    if (checked) {
-      detail::run_block_lanes_checked(tc, kernel);
-    } else {
-      detail::run_block_lanes(tc, kernel);
-    }
-  });
 }
 
 /// Per-block execution context for cooperative kernels.  The shared

@@ -8,13 +8,17 @@
 // first panel, so its upload cost rides the same modeled NUMA link as
 // the panels.
 //
-// Bitwise contract: inside gemm_tiled_serial_scratch, the accumulation
+// Bitwise contract: every MC row block of a panel is one
+// gemm_tiled_serial_scratch call, which runs the tiled GEMM's shared
+// pieces (pack_b, pack_a, macro_kernel) serially.  The accumulation
 // order of any C(i,j) is the KC-block sequence over k — it does not
-// depend on how rows are grouped into MC blocks or panels.  KC is the
-// constant gemm::tiled::kKC, so every panel split and every device count
-// produces bit-identical C to the single-device serial oracle
-// (gemm_tiled_serial_scratch over the whole matrix).  tests/multigpu
-// pins exactly that.
+// depend on how rows are grouped into MC blocks, panels or devices, and
+// KC is the constant gemm::tiled::kKC — so every panel split and every
+// device count produces bit-identical C to the single-device serial
+// oracle (gemm_tiled_serial_scratch over the whole matrix).
+// tests/multigpu pins exactly that.  Each row block packs its own copy
+// of B on every KC step; sharing one packed B per device is a change to
+// this driver alone.
 #pragma once
 
 #include <algorithm>
@@ -34,11 +38,6 @@ namespace portabench::multigpu {
 struct GemmShardOptions {
   std::size_t panel_rows = 0;  ///< 0: 2 * gemm::tiled::kMC
   bool overlap = true;
-  /// Stage host panels from each device's own NUMA domain (the pinned
-  /// placement makes this the natural home); false models naive staging
-  /// where everything lives in domain 0 and remote devices pay the
-  /// cross-socket H2D link.
-  bool numa_aware_staging = true;
 };
 
 /// C = A * B (C overwritten), sharded across every device of `topo`.
@@ -81,20 +80,16 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
     dev[d].b = gpusim::DeviceBuffer<T>(ctx, k * n);
   }
 
-  const auto domain_of = [&](std::size_t d) {
-    return opt.numa_aware_staging ? topo.numa_domain_of(d) : std::size_t{0};
-  };
-
   const auto h2d = [&](gpusim::Stream& s, std::size_t d, std::size_t kk, std::size_t slot) {
     if (kk == 0) {
       // Broadcast B ahead of the first panel on the same copy-in queue.
       gpusim::copy_to_device_async(topo, d, s, dev[d].b, 0,
-                                   std::span<const T>(B.data(), k * n), domain_of(d));
+                                   std::span<const T>(B.data(), k * n), topo.numa_domain_of(d));
     }
     const Panel& p = plan.panel(d, kk);
     gpusim::copy_to_device_async(
         topo, d, s, dev[d].a_slots[slot], 0,
-        std::span<const T>(A.data() + p.begin * k, p.rows() * k), domain_of(d));
+        std::span<const T>(A.data() + p.begin * k, p.rows() * k), topo.numa_domain_of(d));
   };
 
   const auto compute = [&](gpusim::Stream& s, std::size_t d, std::size_t kk,
@@ -132,7 +127,7 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
     const Panel& p = plan.panel(d, kk);
     gpusim::copy_to_host_async(topo, d, s,
                                std::span<T>(C.data() + p.begin * n, p.rows() * n),
-                               dev[d].c_slots[slot], 0, domain_of(d));
+                               dev[d].c_slots[slot], 0, topo.numa_domain_of(d));
   };
 
   return gpusim::run_sharded_pipeline(topo, plan.panels_per_device(), opt.overlap, h2d,

@@ -39,7 +39,6 @@ namespace portabench::multigpu {
 
 struct StencilShardOptions {
   std::size_t iterations = 1;
-  bool numa_aware_staging = true;
 };
 
 /// Host oracle: `iterations` Jacobi sweeps over two full-grid buffers
@@ -102,9 +101,6 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
     s.xfer = std::make_unique<gpusim::Stream>(ctx, gpusim::StreamMode::kAsync);
   }
 
-  const auto domain_of = [&](std::size_t d) {
-    return opt.numa_aware_staging ? topo.numa_domain_of(d) : std::size_t{0};
-  };
   const stencil::stencil_detail::sweep_row_fn row_fn =
       stencil::stencil_detail::pick_sweep_row();
 
@@ -115,8 +111,8 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
   for (std::size_t d = 0; d < devices; ++d) {
     Slab& s = slab[d];
     const std::span<const double> src(grid.data() + s.lo * cols, (s.hi - s.lo) * cols);
-    gpusim::copy_to_device_async(topo, d, *s.comp, s.buf[0], 0, src, domain_of(d));
-    gpusim::copy_to_device_async(topo, d, *s.comp, s.buf[1], 0, src, domain_of(d));
+    gpusim::copy_to_device_async(topo, d, *s.comp, s.buf[0], 0, src, topo.numa_domain_of(d));
+    gpusim::copy_to_device_async(topo, d, *s.comp, s.buf[1], 0, src, topo.numa_domain_of(d));
     s.comp->record(uploaded[d]);
   }
   // A device's first halo copy writes into the *neighbor's* slab; without
@@ -144,21 +140,19 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
       for (gpusim::Event& ev : halo_in[d]) s.comp->wait(ev);
       halo_in[d].clear();
       const std::size_t nrows = s.gend > s.gstart ? s.gend - s.gstart : 0;
-      const double* in_base = s.buf[cur].data();
-      double* out_base = s.buf[nxt].data();
-      const std::size_t lo = s.lo;
-      const std::size_t gstart = s.gstart;
+      // Row pointers at the first computed row: the op captures seven
+      // 8-byte values, so it stays within ErasedOp's inline storage.
+      const double* in_rows = s.buf[cur].data() + (s.gstart - s.lo) * cols;
+      double* out_rows = s.buf[nxt].data() + (s.gstart - s.lo) * cols;
       gpusim::LaunchEngine* engine = &topo.engine(d);
       gpusim::DeviceContext* ctx = &topo.context(d);
       s.comp->enqueue(0.0, [=] {
         if (nrows == 0) return;
         ctx->note_launch(gpusim::Dim3{nrows, 1, 1}, gpusim::Dim3{cols, 1, 1});
-        gpusim::run_batch(*engine, nrows, nrows * cols,
-                          [=](std::size_t, std::size_t i) {
-                            const std::size_t li = gstart - lo + i;  // local row
-                            row_fn(in_base + (li - 1) * cols, in_base + li * cols,
-                                   in_base + (li + 1) * cols, out_base + li * cols, cols);
-                          });
+        gpusim::run_batch(*engine, nrows, nrows * cols, [=](std::size_t, std::size_t i) {
+          const double* row = in_rows + i * cols;
+          row_fn(row - cols, row, row + cols, out_rows + i * cols, cols);
+        });
       });
       s.comp->record(compute_done[d]);
     }
@@ -212,7 +206,7 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
     gpusim::copy_to_host_async(
         topo, d, *s.comp,
         std::span<double>(grid.data() + s.gstart * cols, (s.gend - s.gstart) * cols),
-        s.buf[fin], (s.gstart - s.lo) * cols, domain_of(d));
+        s.buf[fin], (s.gstart - s.lo) * cols, topo.numa_domain_of(d));
   }
 
   double modeled = 0.0;

@@ -172,30 +172,60 @@ TEST(TiledGemm, SerialAndThreadedBitwiseIdentical) {
   EXPECT_EQ(max_abs_diff(C_serial, C_threads), 0.0);
 }
 
+/// Both drivers, over every space and every mc, reproduce
+/// gemm_tiled(Threads, TileConfig{})'s bits on one operand pair.
+template <class Acc, class LC, class VA, class VB>
+void expect_row_blocking_invariant(const VA& A, const VB& B) {
+  const std::size_t m = A.extent(0), k = A.extent(1), n = B.extent(1);
+  SerialSpace serial;
+  ThreadsSpace threads(4);
+  View2<Acc, LC> C_default(m, n);
+  gemm_tiled<Acc>(threads, A, B, C_default, TileConfig{});
+  const auto same_bits = [&](const View2<Acc, LC>& C) {
+    return std::memcmp(C.data(), C_default.data(), m * n * sizeof(Acc)) == 0;
+  };
+  for (const std::size_t mc : {6u, 16u, 64u, 256u}) {
+    const TileConfig cfg{mc};
+    View2<Acc, LC> C_serial(m, n);
+    gemm_tiled<Acc>(serial, A, B, C_serial, cfg);
+    EXPECT_TRUE(same_bits(C_serial)) << "gemm_tiled(SerialSpace), mc " << mc;
+
+    View2<Acc, LC> C_threads(m, n);
+    gemm_tiled<Acc>(threads, A, B, C_threads, cfg);
+    EXPECT_TRUE(same_bits(C_threads)) << "gemm_tiled(ThreadsSpace), mc " << mc;
+
+    View2<Acc, LC> C_scratch(m, n);
+    std::vector<std::byte> scratch(gemm_tiled_scratch_bytes<Acc>(m, n, k, cfg));
+    gemm_tiled_serial_scratch<Acc>(A, B, C_scratch, scratch, cfg);
+    EXPECT_TRUE(same_bits(C_scratch)) << "gemm_tiled_serial_scratch, mc " << mc;
+  }
+}
+
 TEST(TiledGemm, RowBlockingNeverChangesBits) {
   // mc only regroups rows into parallel/serial units; each C(i,j) keeps
   // its KC-block accumulation order, so every mc must reproduce
-  // TileConfig{}'s bits on both entry points that take a config.  m is
-  // ragged against every mc swept, and k crosses a KC panel.
+  // TileConfig{}'s bits on every entry point, on each packing path: raw
+  // row-major FP64 and half (the batched convert_n path) and LayoutLeft
+  // FP64 (the per-element path).  m is ragged against every mc swept, mc
+  // 6 is not a multiple of kMR, and k crosses a KC panel.
   constexpr std::size_t m = 147, k = 300, n = 31;
-  auto A = random_matrix<double, LayoutRight>(m, k, 21);
-  auto B = random_matrix<double, LayoutRight>(k, n, 22);
-  ThreadsSpace threads(4);
-  View2<double, LayoutRight> C_default(m, n);
-  gemm_tiled<double>(threads, A, B, C_default, TileConfig{});
-  const auto same_bits = [&](const View2<double, LayoutRight>& C) {
-    return std::memcmp(C.data(), C_default.data(), m * n * sizeof(double)) == 0;
-  };
-  for (const std::size_t mc : {16u, 64u, 256u}) {
-    const TileConfig cfg{mc};
-    View2<double, LayoutRight> C_threads(m, n);
-    gemm_tiled<double>(threads, A, B, C_threads, cfg);
-    EXPECT_TRUE(same_bits(C_threads)) << "gemm_tiled, mc " << mc;
-
-    View2<double, LayoutRight> C_scratch(m, n);
-    std::vector<std::byte> scratch(gemm_tiled_scratch_bytes<double>(m, n, k, cfg));
-    gemm_tiled_serial_scratch<double>(A, B, C_scratch, scratch, cfg);
-    EXPECT_TRUE(same_bits(C_scratch)) << "gemm_tiled_serial_scratch, mc " << mc;
+  {
+    SCOPED_TRACE("double, LayoutRight");
+    const auto A = random_matrix<double, LayoutRight>(m, k, 21);
+    const auto B = random_matrix<double, LayoutRight>(k, n, 22);
+    expect_row_blocking_invariant<double, LayoutRight>(A, B);
+  }
+  {
+    SCOPED_TRACE("half -> float, LayoutRight");
+    const auto A = random_matrix<half, LayoutRight>(m, k, 23);
+    const auto B = random_matrix<half, LayoutRight>(k, n, 24);
+    expect_row_blocking_invariant<float, LayoutRight>(A, B);
+  }
+  {
+    SCOPED_TRACE("double, LayoutLeft");
+    const auto A = random_matrix<double, LayoutLeft>(m, k, 25);
+    const auto B = random_matrix<double, LayoutLeft>(k, n, 26);
+    expect_row_blocking_invariant<double, LayoutLeft>(A, B);
   }
 }
 

@@ -60,27 +60,6 @@ TEST_F(LaunchTest, GuardedKernelCoversExactProblem) {
   EXPECT_GT(ctx_.counters().threads_executed, kM * kN);
 }
 
-TEST_F(LaunchTest, HostParallelLaunchMatchesSerial) {
-  constexpr std::size_t kN = 64;
-  std::vector<double> serial_out(kN * kN, 0.0);
-  std::vector<double> parallel_out(kN * kN, 0.0);
-  auto kernel_into = [&](std::vector<double>& out) {
-    return [&out](const ThreadCtx& tc) {
-      const std::size_t i = tc.global_y();
-      const std::size_t j = tc.global_x();
-      if (i < kN && j < kN) {
-        out[i * kN + j] = static_cast<double>(i) * 1000.0 + static_cast<double>(j);
-      }
-    };
-  };
-  launch(ctx_, {blocks_for(kN, 16), blocks_for(kN, 16), 1}, {16, 16, 1},
-         kernel_into(serial_out));
-  simrt::ThreadsSpace host(4);
-  launch(ctx_, host, {blocks_for(kN, 16), blocks_for(kN, 16), 1}, {16, 16, 1},
-         kernel_into(parallel_out));
-  EXPECT_EQ(serial_out, parallel_out);
-}
-
 TEST_F(LaunchTest, KernelSeesDeviceBuffers) {
   constexpr std::size_t kCount = 1024;
   std::vector<double> host(kCount);

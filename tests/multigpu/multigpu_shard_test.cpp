@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,10 +19,25 @@
 #include "gpusim/pipeline.hpp"
 #include "multigpu/gemm.hpp"
 #include "multigpu/shard.hpp"
-#include "multigpu/spmv.hpp"
 #include "multigpu/stencil.hpp"
 #include "perfmodel/multigpu.hpp"
-#include "spmv/sparse.hpp"
+#include "portacheck/hooks.hpp"
+
+// Counting global allocator: the stencil's per-sweep ops must stay out
+// of the heap, and this binary counts every operator new on every thread.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so GCC does not inline free() into new-expressions and
+// report a malloc/new mismatch.
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace portabench::multigpu {
 namespace {
@@ -125,7 +142,6 @@ TEST_F(GemmSharded, OverlapOffAndRemoteStagingStayBitwise) {
     GemmShardOptions opt;
     opt.panel_rows = 48;
     opt.overlap = overlap;
-    opt.numa_aware_staging = false;  // everything staged from domain 0
     gemm_sharded<double>(topo, {a_.data(), m_, k_}, {b_.data(), k_, n_},
                          {c.data(), m_, n_}, opt);
     expect_bitwise(c);
@@ -143,44 +159,6 @@ TEST_F(GemmSharded, DegenerateTopologyUsesSharedEngine) {
   gemm_sharded<double>(topo, {a_.data(), m_, k_}, {b_.data(), k_, n_},
                        {c.data(), m_, n_});
   expect_bitwise(c);
-}
-
-// --- SpMV --------------------------------------------------------------------
-
-TEST(SpmvSharded, BitwiseIdenticalAcrossDeviceCounts) {
-  const auto A = spmv::random_csr<double>(977, 611, 9, 7);
-  const std::vector<double> x = random_vector(A.cols, 8);
-  std::vector<double> reference(A.rows);
-  spmv::spmv_reference<double>(A, x, std::span<double>(reference));
-
-  for (std::size_t devices : {1u, 2u, 4u}) {
-    DeviceTopology topo(small_crusher(devices));
-    std::vector<double> y(A.rows, -1.0);
-    SpmvShardOptions opt;
-    opt.panel_rows = 128;
-    opt.rows_per_block = 37;  // ragged blocks inside ragged panels
-    spmv_sharded<double>(topo, A, x, std::span<double>(y), opt);
-    for (std::size_t r = 0; r < A.rows; ++r) {
-      ASSERT_EQ(y[r], reference[r]) << "row " << r << " devices " << devices;
-    }
-  }
-}
-
-TEST(SpmvSharded, BandedMatrixNonOverlapPath) {
-  const auto A = spmv::banded_csr<double>(300, 5, 21);
-  const std::vector<double> x = random_vector(A.cols, 22);
-  std::vector<double> reference(A.rows);
-  spmv::spmv_reference<double>(A, x, std::span<double>(reference));
-
-  DeviceTopology topo(small_crusher(3));
-  std::vector<double> y(A.rows, -1.0);
-  SpmvShardOptions opt;
-  opt.panel_rows = 64;
-  opt.overlap = false;
-  spmv_sharded<double>(topo, A, x, std::span<double>(y), opt);
-  for (std::size_t r = 0; r < A.rows; ++r) {
-    ASSERT_EQ(y[r], reference[r]) << "row " << r;
-  }
 }
 
 // --- Stencil -----------------------------------------------------------------
@@ -228,6 +206,30 @@ TEST(StencilSharded, MoreDevicesThanInteriorRows) {
       }
     }
   }
+}
+
+TEST(StencilSharded, SweepOpsStayInline) {
+  // Each sweep enqueues one compute op per device; it must fit
+  // ErasedOp's inline storage, or every sweep pays a heap allocation per
+  // device (4,000 for this call).  What remains is per-call setup.
+  if (portacheck::active()) {
+    GTEST_SKIP() << "sanitized run: every batch allocates its permuted order";
+  }
+  TopologyConfig cfg = TopologyConfig::crusher_node(2);
+  cfg.workers_per_device = 1;
+  DeviceTopology topo(cfg);
+  constexpr std::size_t kN = 64;
+  const std::vector<double> init = random_vector(kN * kN, 51);
+  StencilShardOptions opt;
+  opt.iterations = 2000;
+  std::vector<double> grid = init;
+  stencil_sharded(topo, std::span<double>(grid), kN, kN, opt);  // warm-up
+  grid = init;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  stencil_sharded(topo, std::span<double>(grid), kN, kN, opt);
+  const std::size_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(allocations, 400u);
+  EXPECT_EQ(grid, stencil_iterated_oracle(init, kN, kN, opt.iterations));
 }
 
 // --- Cross-device events -----------------------------------------------------

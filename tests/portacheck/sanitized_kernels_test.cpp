@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "gemm/kernels_cpu.hpp"
 #include "gemm/kernels_gpu.hpp"
+#include "gemm/kernels_tiled.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/validate.hpp"
 #include "gpusim/device.hpp"
@@ -107,6 +108,14 @@ TEST(SanitizedGemmCpu, NumbaStyleClean) {
 TEST(SanitizedGemmCpu, TeamStyleClean) {
   check_cpu_gemm_clean<simrt::LayoutRight>([](auto& s, auto& A, auto& B, auto& C) {
     gemm::gemm_team_style<double>(s, A, B, C, /*team_size=*/4);
+  });
+}
+
+TEST(SanitizedGemmCpu, TiledClean) {
+  // Shadow views expose no raw rows, so both operands take the
+  // per-element packing path and every C write is logged.
+  check_cpu_gemm_clean<simrt::LayoutRight>([](auto& s, auto& A, auto& B, auto& C) {
+    gemm::gemm_tiled<double>(s, A, B, C);
   });
 }
 
