@@ -1,12 +1,12 @@
-// Device-wide primitives microbenchmark: reduce, scan, sort, histogram
-// (src/primitives/) against their serial oracles and the std:: baselines
-// they displace, with every comparison verified bitwise in-bench (the
-// primitives' determinism contract says the schedule NEVER changes a
-// result — a mismatch exits 1 regardless of gates).
+// Device-wide primitives microbenchmark: scan and sort (src/primitives/)
+// against their serial oracles and the std:: baselines they displace,
+// with every comparison verified bitwise in-bench (the primitives'
+// determinism contract says the schedule NEVER changes a result — a
+// mismatch exits 1 regardless of gates).  A device path stays in the
+// library only while it beats its serial oracle beyond noise at the
+// default n; these rows are that evidence.
 //
 // Sections:
-//   reduce     device_reduce (fp sum + exact max) vs the serial oracle
-//              and the plain std::accumulate loop, sweep over sizes
 //   scan       device_exclusive_scan vs oracle and std::exclusive_scan,
 //              plus the block-scan tree ablation: Blelloch (shipped,
 //              combines counted) vs the Hillis-Steele shape it replaced
@@ -14,7 +14,6 @@
 //              (deterministic, host-independent)
 //   sort       device_radix_sort_pairs vs the stable oracle, and the
 //              host radix path vs the std::stable_sort permutation idiom
-//   histogram  device_histogram vs the serial counting oracle
 //   phi        Phi_M-style portability rows (Eq. 1): each primitive's
 //              simulated throughput on the two GPU models (A100,
 //              MI250X GCD), efficiency relative to the better one
@@ -42,8 +41,6 @@
 #include "common/timer.hpp"
 #include "gpusim/block_primitives.hpp"
 #include "portability/metric.hpp"
-#include "primitives/histogram.hpp"
-#include "primitives/reduce.hpp"
 #include "primitives/scan.hpp"
 #include "primitives/serial.hpp"
 #include "primitives/sort.hpp"
@@ -129,52 +126,6 @@ int main(int argc, char** argv) {
   w.key("samples");
   w.value(opt.samples);
 
-  // --- reduce ---------------------------------------------------------------
-  struct ReduceRow {
-    std::size_t n;
-    double device_ms;
-    double oracle_ms;
-    double accumulate_ms;
-    bool bitwise;
-  };
-  std::vector<ReduceRow> reduce_rows;
-  for (const std::size_t n : {opt.n / 16, opt.n / 4, opt.n}) {
-    const std::vector<double> in = random_doubles(n, 11 + n);
-    const std::span<const double> s(in);
-    const simrt::SumOp<double> sum;
-    double got = 0, want = 0, plain = 0;
-    const double device_ms =
-        best_ms(opt.samples, [&] { got = primitives::device_reduce(ctx, s, sum); });
-    const double oracle_ms =
-        best_ms(opt.samples, [&] { want = primitives::reduce_oracle(s, sum); });
-    const double acc_ms = best_ms(
-        opt.samples, [&] { plain = std::accumulate(in.begin(), in.end(), 0.0); });
-    (void)plain;  // different association by design; timed, not compared
-    const bool bitwise = std::memcmp(&got, &want, sizeof(double)) == 0;
-    if (!bitwise) {
-      std::cerr << "FAILED: device_reduce(sum, n=" << n << ") differs from oracle\n";
-      ++failures;
-    }
-    // Exact max must also equal the plain scalar fold, not just the oracle.
-    const double dmax =
-        primitives::device_reduce(ctx, s, simrt::MaxOp<double>{});
-    const double smax = *std::max_element(in.begin(), in.end());
-    if (std::memcmp(&dmax, &smax, sizeof(double)) != 0) {
-      std::cerr << "FAILED: device_reduce(max, n=" << n << ") differs from std::max_element\n";
-      ++failures;
-    }
-    reduce_rows.push_back({n, device_ms, oracle_ms, acc_ms, bitwise});
-  }
-  Table reduce_table({"n", "device (ms)", "oracle (ms)", "accumulate (ms)", "bitwise"});
-  for (const auto& r : reduce_rows) {
-    reduce_table.add_row({std::to_string(r.n), Table::num(r.device_ms, 3),
-                          Table::num(r.oracle_ms, 3), Table::num(r.accumulate_ms, 3),
-                          r.bitwise ? "yes" : "NO"});
-  }
-  std::cout << "-- device_reduce, double sum (device == oracle bit-for-bit; the\n"
-               "   accumulate column uses a different association and is timing-only) --\n"
-            << reduce_table.to_markdown() << "\n";
-
   // --- scan -----------------------------------------------------------------
   struct ScanRow {
     std::size_t n;
@@ -248,21 +199,27 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> vals0(ns);
   std::iota(vals0.begin(), vals0.end(), std::uint32_t{0});
 
-  // Device radix vs the stable oracle (bitwise, keys and values).
-  {
-    std::vector<std::uint64_t> k = keys0;
-    std::vector<std::uint32_t> v = vals0;
-    std::vector<std::uint64_t> wk = keys0;
-    std::vector<std::uint32_t> wv = vals0;
-    primitives::device_radix_sort_pairs(ctx, std::span<std::uint64_t>(k),
-                                        std::span<std::uint32_t>(v));
-    primitives::sort_pairs_oracle(std::span<std::uint64_t>(wk),
-                                  std::span<std::uint32_t>(wv));
-    if (std::memcmp(k.data(), wk.data(), ns * sizeof(std::uint64_t)) != 0 ||
-        std::memcmp(v.data(), wv.data(), ns * sizeof(std::uint32_t)) != 0) {
-      std::cerr << "FAILED: device_radix_sort_pairs differs from the stable oracle\n";
-      ++failures;
-    }
+  // Device radix vs the stable oracle (timed like the host rows below,
+  // input copy included on both sides; bitwise on keys and values).
+  std::vector<std::uint64_t> dk, ok;
+  std::vector<std::uint32_t> dv, ov;
+  const double device_sort_ms = best_ms(opt.samples, [&] {
+    dk = keys0;
+    dv = vals0;
+    primitives::device_radix_sort_pairs(ctx, std::span<std::uint64_t>(dk),
+                                        std::span<std::uint32_t>(dv));
+  });
+  const double device_sort_oracle_ms = best_ms(opt.samples, [&] {
+    ok = keys0;
+    ov = vals0;
+    primitives::sort_pairs_oracle(std::span<std::uint64_t>(ok), std::span<std::uint32_t>(ov));
+  });
+  const bool device_sort_bitwise =
+      std::memcmp(dk.data(), ok.data(), ns * sizeof(std::uint64_t)) == 0 &&
+      std::memcmp(dv.data(), ov.data(), ns * sizeof(std::uint32_t)) == 0;
+  if (!device_sort_bitwise) {
+    std::cerr << "FAILED: device_radix_sort_pairs differs from the stable oracle\n";
+    ++failures;
   }
 
   // Host radix vs the std::stable_sort permutation idiom.
@@ -298,45 +255,17 @@ int main(int argc, char** argv) {
     std::cerr << "FAILED: host_radix_sort_pairs differs from std::stable_sort\n";
     ++failures;
   }
-  Table sort_table({"n", "host radix (ms)", "std::stable_sort (ms)", "speedup",
-                    "bitwise"});
-  sort_table.add_row({std::to_string(ns), Table::num(radix_ms, 3),
+  Table sort_table({"n", "path", "radix (ms)", "baseline (ms)", "speedup", "bitwise"});
+  sort_table.add_row({std::to_string(ns), "device vs oracle", Table::num(device_sort_ms, 3),
+                      Table::num(device_sort_oracle_ms, 3),
+                      Table::num(device_sort_oracle_ms / device_sort_ms, 2),
+                      device_sort_bitwise ? "yes" : "NO"});
+  sort_table.add_row({std::to_string(ns), "host vs std::stable_sort", Table::num(radix_ms, 3),
                       Table::num(stable_ms, 3), Table::num(sort_speedup, 2),
                       sort_bitwise ? "yes" : "NO"});
-  std::cout << "-- (key, value) sort, 32-bit-dense uint64 keys (both sides are\n"
-               "   stable) --\n"
+  std::cout << "-- (key, value) radix sort, 32-bit-dense uint64 keys (every side\n"
+               "   is stable) --\n"
             << sort_table.to_markdown() << "\n";
-
-  // --- histogram ------------------------------------------------------------
-  const std::size_t bins = 256;
-  std::vector<std::uint32_t> hist_in(opt.n);
-  {
-    Xoshiro256 rng(47);
-    for (auto& x : hist_in) x = static_cast<std::uint32_t>(rng());
-  }
-  const auto bin_of = [bins](std::uint32_t x) { return x % bins; };
-  std::vector<std::uint64_t> dev_hist(bins), ora_hist(bins);
-  const double hist_device_ms = best_ms(opt.samples, [&] {
-    primitives::device_histogram(ctx, std::span<const std::uint32_t>(hist_in),
-                                 std::span<std::uint64_t>(dev_hist), bin_of);
-  });
-  const double hist_oracle_ms = best_ms(opt.samples, [&] {
-    primitives::histogram_oracle(std::span<const std::uint32_t>(hist_in),
-                                 std::span<std::uint64_t>(ora_hist), bin_of);
-  });
-  const bool hist_bitwise =
-      std::memcmp(dev_hist.data(), ora_hist.data(), bins * sizeof(std::uint64_t)) == 0;
-  if (!hist_bitwise) {
-    std::cerr << "FAILED: device_histogram differs from the counting oracle\n";
-    ++failures;
-  }
-  Table hist_table({"n", "bins", "device (ms)", "oracle (ms)", "bitwise"});
-  hist_table.add_row({std::to_string(opt.n), std::to_string(bins),
-                      Table::num(hist_device_ms, 3), Table::num(hist_oracle_ms, 3),
-                      hist_bitwise ? "yes" : "NO"});
-  std::cout << "-- device_histogram, 256 bins (privatized rows, block-ordered\n"
-               "   combine; counting is exact) --\n"
-            << hist_table.to_markdown() << "\n";
 
   // --- Phi_M rows -----------------------------------------------------------
   // Eq.-1 style portability of each primitive across the two simulated
@@ -360,36 +289,24 @@ int main(int argc, char** argv) {
     }
     auto rate = [&](gpusim::DeviceContext& c, const char* which) {
       double ms = 0;
-      if (std::strcmp(which, "reduce") == 0) {
-        ms = best_ms(opt.samples, [&] {
-          (void)primitives::device_reduce(c, std::span<const double>(in),
-                                          simrt::SumOp<double>{});
-        });
-      } else if (std::strcmp(which, "scan") == 0) {
+      if (std::strcmp(which, "scan") == 0) {
         std::vector<double> out(np);
         ms = best_ms(opt.samples, [&] {
           primitives::device_exclusive_scan(c, std::span<const double>(in),
                                             std::span<double>(out),
                                             simrt::SumOp<double>{});
         });
-      } else if (std::strcmp(which, "sort") == 0) {
+      } else {
         std::vector<std::uint32_t> k = hkeys;
         ms = best_ms(opt.samples, [&] {
           k = hkeys;
           primitives::device_radix_sort_keys(c, std::span<std::uint32_t>(k));
         });
-      } else {
-        std::vector<std::uint32_t> hist(256);
-        ms = best_ms(opt.samples, [&] {
-          primitives::device_histogram(c, std::span<const std::uint32_t>(hkeys),
-                                       std::span<std::uint32_t>(hist),
-                                       [](std::uint32_t x) { return x % 256; });
-        });
       }
       return static_cast<double>(np) / (ms * 1e3);  // Melem/s
     };
     gpusim::DeviceContext mi250x(gpusim::GpuSpec::mi250x_gcd());
-    for (const char* which : {"reduce", "scan", "sort", "histogram"}) {
+    for (const char* which : {"scan", "sort"}) {
       const double r_mi = rate(mi250x, which);
       const double r_a100 = rate(ctx, which);
       const double best = std::max(r_mi, r_a100);
@@ -412,23 +329,6 @@ int main(int argc, char** argv) {
             << phi_table.to_markdown() << "\n";
 
   // --- machine-readable artifact --------------------------------------------
-  w.key("reduce");
-  w.begin_array();
-  for (const auto& r : reduce_rows) {
-    w.begin_object();
-    w.key("n");
-    w.value(r.n);
-    w.key("device_ms");
-    w.value(r.device_ms);
-    w.key("oracle_ms");
-    w.value(r.oracle_ms);
-    w.key("accumulate_ms");
-    w.value(r.accumulate_ms);
-    w.key("bitwise_identical");
-    w.value(r.bitwise);
-    w.end_object();
-  }
-  w.end_array();
   w.key("scan");
   w.begin_array();
   for (const auto& r : scan_rows) {
@@ -470,18 +370,16 @@ int main(int argc, char** argv) {
   w.key("bitwise_identical");
   w.value(sort_bitwise);
   w.end_object();
-  w.key("histogram");
+  w.key("device_sort");
   w.begin_object();
   w.key("n");
-  w.value(opt.n);
-  w.key("bins");
-  w.value(bins);
+  w.value(ns);
   w.key("device_ms");
-  w.value(hist_device_ms);
+  w.value(device_sort_ms);
   w.key("oracle_ms");
-  w.value(hist_oracle_ms);
+  w.value(device_sort_oracle_ms);
   w.key("bitwise_identical");
-  w.value(hist_bitwise);
+  w.value(device_sort_bitwise);
   w.end_object();
   w.key("phi");
   w.begin_array();

@@ -16,7 +16,8 @@
 // serially inline (fork elision), the sanitized path keeps its serial
 // seed-permuted schedule with per-SIMT-thread shadow lanes, and
 // launch_serial()/launch_blocks_serial() pin the serial walk explicitly
-// (the baseline the micro_launch bench measures against).  Block-shared
+// (the engine tests' reference; micro_launch embeds its own copy of the
+// pre-engine launch as its baseline).  Block-shared
 // scratch comes from the engine's pooled per-worker arenas: the
 // steady-state launch path allocates nothing.
 #pragma once
@@ -98,8 +99,8 @@ inline void run_block_lanes_checked(ThreadCtx& tc, F&& kernel) {
 
 /// Execute `kernel(ThreadCtx)` for every thread of the grid with the
 /// serial block walk (deterministic block order; the pre-engine seed
-/// behaviour).  launch() routes sub-cutoff grids here; the micro_launch
-/// bench uses it as the serial baseline.
+/// behaviour).  launch() routes sub-cutoff grids here; the engine tests
+/// use it as the serial reference.
 template <class F>
 void launch_serial(DeviceContext& ctx, const Dim3& grid, const Dim3& block, F&& kernel) {
   ctx.validate_launch_cached(grid, block, 0);

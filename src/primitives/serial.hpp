@@ -1,12 +1,12 @@
 // Serial oracles for the device-wide primitives.
 //
-// Each oracle is a plain single-threaded loop that replays the EXACT
-// association the device path commits to — the same kSegment slice
-// folds (through the same segment_fold, including its SIMD routing) and
-// the same ascending combine — so device results must match the oracle
-// bit-for-bit under every schedule, thread count, and sanitizer
-// permutation seed.  The property tests and bench/micro_primitives
-// verify exactly that.
+// Each oracle is a plain single-threaded loop.  The scan oracles replay
+// the EXACT association the device scans commit to — the same kSegment
+// slice folds and the same ascending combine of slice totals — and the
+// sort oracles are std::stable_sort under the radix bijection's order,
+// so device results must match the oracle bit-for-bit under every
+// thread count and sanitizer permutation seed.  The property tests and
+// bench/micro_primitives verify exactly that.
 #pragma once
 
 #include <algorithm>
@@ -16,44 +16,11 @@
 #include <vector>
 
 #include "simrt/op.hpp"
-#include "reduce.hpp"
 #include "scan.hpp"
 #include "sort.hpp"
 #include "tunables.hpp"
 
 namespace portabench::primitives {
-
-/// What device_reduce computes, serially.
-template <class T, class Op>
-  requires simrt::ReductionOpFor<Op, T>
-[[nodiscard]] T reduce_oracle(std::span<const T> in, Op op) {
-  const std::size_t n = in.size();
-  if (n == 0) return op.identity();
-  const std::size_t segments = detail::ceil_div(n, kSegment);
-  std::vector<T> partials(segments);
-  for (std::size_t seg = 0; seg < segments; ++seg) {
-    const std::size_t lo = seg * kSegment;
-    partials[seg] = detail::segment_fold(in, lo, std::min(n, lo + kSegment), op);
-  }
-  return detail::fold_ascending(std::span<const T>(partials), op);
-}
-
-/// What device_transform_reduce computes, serially.
-template <class T, class Op, class F>
-  requires simrt::ReductionOpFor<Op, T>
-[[nodiscard]] T transform_reduce_oracle(std::size_t n, Op op, F&& f) {
-  if (n == 0) return op.identity();
-  const std::size_t segments = detail::ceil_div(n, kSegment);
-  std::vector<T> partials(segments);
-  for (std::size_t seg = 0; seg < segments; ++seg) {
-    const std::size_t lo = seg * kSegment;
-    const std::size_t hi = std::min(n, lo + kSegment);
-    T acc = op.identity();
-    for (std::size_t i = lo; i < hi; ++i) acc = op(acc, f(i));
-    partials[seg] = acc;
-  }
-  return detail::fold_ascending(std::span<const T>(partials), op);
-}
 
 namespace detail {
 
@@ -111,9 +78,8 @@ void inclusive_scan_oracle(std::span<const T> in, std::span<T> out, Op op) {
   detail::scan_oracle<true>(in, out, op);
 }
 
-/// Stable sort of keys by the radix bijection's total order — what both
-/// device_radix_sort_keys and the merge fallback (under the same order)
-/// must produce bit-for-bit.
+/// Stable sort of keys by the radix bijection's total order — what
+/// device_radix_sort_keys must produce bit-for-bit.
 template <class K>
   requires RadixSortable<K>
 void sort_keys_oracle(std::span<K> keys) {
@@ -144,17 +110,6 @@ void sort_pairs_oracle(std::span<K> keys, std::span<V> values) {
   }
   std::copy(k2.begin(), k2.end(), keys.begin());
   std::copy(v2.begin(), v2.end(), values.begin());
-}
-
-/// What device_histogram computes, serially.
-template <class T, class Count, class BinOf>
-void histogram_oracle(std::span<const T> in, std::span<Count> hist, BinOf bin_of) {
-  std::fill(hist.begin(), hist.end(), Count{0});
-  for (const T& x : in) {
-    const std::size_t bin = static_cast<std::size_t>(bin_of(x));
-    PB_EXPECTS(bin < hist.size());
-    ++hist[bin];
-  }
 }
 
 }  // namespace portabench::primitives

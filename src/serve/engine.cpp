@@ -285,11 +285,9 @@ void run_spmv_bucket(gpusim::LaunchEngine& engine,
 
 }  // namespace
 
-ServeEngine::Shard::Shard(const ServeConfig& cfg, gpusim::DeviceContext& shard_ctx,
-                          std::size_t shard_index)
+ServeEngine::Shard::Shard(const ServeConfig& cfg, gpusim::DeviceContext& shard_ctx)
     : queue(cfg.queue_capacity),
       ctx(&shard_ctx),
-      index(shard_index),
       stream(shard_ctx, gpusim::StreamMode::kAsync),
       staging(std::make_unique<Staging>(cfg.batch_jobs)) {
   slots.reserve(cfg.batch_jobs);
@@ -306,7 +304,7 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
   topo_ = std::make_unique<gpusim::DeviceTopology>(config_.topology);
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_, topo_->context(device_of(i)), i));
+    shards_.push_back(std::make_unique<Shard>(config_, topo_->context(device_of(i))));
   }
 }
 
@@ -364,23 +362,6 @@ ServeEngine::FlushOutcome ServeEngine::flush_shard(Shard& shard, std::size_t max
   JobDesc d;
   while (slots.size() < max_jobs && shard.queue.try_pop(d)) {
     slots.push_back(JobSlot{d, nullptr, false});
-  }
-  if (config_.work_steal && slots.size() < max_jobs && shards_.size() > 1) {
-    // Top the batch up from the other shards' queues when this shard's
-    // bucket mix ran dry.  The victim order is pinned — self+1, self+2,
-    // ... mod shards — so a replayed trace steals identically; the MPMC
-    // pop side makes concurrent steals against a victim's own flush
-    // safe.  A stolen job still runs bucket-sorted with bitwise
-    // run_serial results; only its executing shard moved.
-    std::uint64_t grabbed = 0;
-    for (std::size_t off = 1; off < shards_.size() && slots.size() < max_jobs; ++off) {
-      Shard& victim = *shards_[(shard.index + off) % shards_.size()];
-      while (slots.size() < max_jobs && victim.queue.try_pop(d)) {
-        slots.push_back(JobSlot{d, nullptr, false});
-        ++grabbed;
-      }
-    }
-    if (grabbed != 0) stolen_.fetch_add(grabbed, std::memory_order_relaxed);
   }
   FlushOutcome out;
   out.popped = slots.size();
@@ -537,9 +518,9 @@ void ServeEngine::deliver(Shard& shard) {
 
 void ServeEngine::drain() {
   // Wait out every shard's scheduled flushes before the first drain
-  // flush, so the drain phase (and what its thieves steal) starts from
-  // one queue state; a stashed batch_error was counted at its throw
-  // site, so absorbing it here is not a lost error.
+  // flush, so the drain phase starts from one queue state; a stashed
+  // batch_error was counted at its throw site, so absorbing it here is
+  // not a lost error.
   for (auto& sp : shards_) {
     try {
       sp->stream.synchronize();
@@ -567,7 +548,6 @@ ServeStats ServeEngine::stats() const {
   st.failed = failed_.load(std::memory_order_relaxed);
   st.batches = batches_.load(std::memory_order_relaxed);
   st.batch_errors = batch_errors_.load(std::memory_order_relaxed);
-  st.stolen = stolen_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < st.rejected_by.size(); ++i) {
     st.rejected_by[i] = rejected_by_[i].load(std::memory_order_relaxed);
     st.rejected_total += st.rejected_by[i];

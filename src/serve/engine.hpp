@@ -83,13 +83,6 @@ struct ServeConfig {
   /// The default is the degenerate single-device topology (today's
   /// single-engine behavior, bit for bit).
   gpusim::TopologyConfig topology = serve_default_topology();
-  /// Cross-shard work stealing: a flushing shard whose own queue drains
-  /// below batch_jobs tops its batch up from the other shards' queues,
-  /// in pinned victim order (self+1, self+2, ... mod shards).  Results
-  /// stay bitwise-identical to run_serial — a job is a pure function of
-  /// its JobDesc and every batch is bucket-sorted before running — so
-  /// stealing only moves *where* a job runs, never what it computes.
-  bool work_steal = false;
 };
 
 struct ServeStats {
@@ -98,7 +91,6 @@ struct ServeStats {
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;       ///< flushes that processed >= 1 job
   std::uint64_t batch_errors = 0;  ///< batches that threw batch_error
-  std::uint64_t stolen = 0;        ///< jobs flushed by a non-home shard
   std::uint64_t rejected_total = 0;
   /// Sheds/rejects by reason, indexed by AdmitError (kNone slot unused).
   std::array<std::uint64_t, 6> rejected_by{};
@@ -152,12 +144,11 @@ class ServeEngine {
   };
 
   struct alignas(kCacheLineBytes) Shard {
-    Shard(const ServeConfig& cfg, gpusim::DeviceContext& ctx, std::size_t index);
+    Shard(const ServeConfig& cfg, gpusim::DeviceContext& ctx);
     ~Shard();
 
     simrt::BoundedMpscQueue<JobDesc> queue;
     gpusim::DeviceContext* ctx;  ///< the device this shard runs on
-    std::size_t index;           ///< shard's own slot (steal-order anchor)
     gpusim::Stream stream;       ///< kAsync: flushes run on the stream worker
     ShardMutex submit_mutex;  ///< guards stream.enqueue (not thread-safe)
     ShardMutex flush_mutex;   ///< serializes flush bodies (arena + staging)
@@ -192,7 +183,6 @@ class ServeEngine {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batch_errors_{0};
-  std::atomic<std::uint64_t> stolen_{0};
   std::array<std::atomic<std::uint64_t>, 6> rejected_by_{};
 };
 

@@ -53,13 +53,12 @@ std::multiset<RuleAt> markers_under(const fs::path& dir) {
   return out;
 }
 
-portalint::Result scan(const std::vector<fs::path>& inputs, bool run_flow = true) {
+portalint::Result scan(const std::vector<fs::path>& inputs) {
   portalint::Options opts;
   opts.inputs = inputs;
   opts.root = kFixtures;
   opts.use_baseline = false;
   opts.include_fixtures = true;
-  opts.run_flow = run_flow;
   portalint::Result r = portalint::run_portalint(opts);
   EXPECT_TRUE(r.errors.empty()) << (r.errors.empty() ? std::string() : r.errors.front());
   return r;
@@ -104,23 +103,6 @@ INSTANTIATE_TEST_SUITE_P(Portaflow, GoodFlowCorpus,
                          ::testing::Values("swe_good", "ord_good", "det_good",
                                            "queue_good", "scanorder_good"));
 
-// The acceptance demonstration: the same corpus the interprocedural
-// pass flags is provably clean under every token-level rule (--no-flow
-// reconstructs exactly the pre-portaflow rule set, including legacy
-// mo-balance).
-TEST(TokenLevelProvablyPasses, SharedWriteEscape) {
-  const auto token_only = findings_of(scan({kFlow / "swe_bad"}, /*run_flow=*/false));
-  EXPECT_TRUE(token_only.empty()) << "token rules unexpectedly fired:\n"
-                                  << to_string(token_only);
-  const auto with_flow = findings_of(scan({kFlow / "swe_bad"}));
-  ASSERT_EQ(with_flow.size(), 1u);
-  EXPECT_EQ(with_flow.begin()->first, "fl-shared-write-escape");
-}
-
-TEST(TokenLevelProvablyPasses, DetTaint) {
-  EXPECT_TRUE(findings_of(scan({kFlow / "det_bad"}, /*run_flow=*/false)).empty());
-}
-
 // The serialized launch class: an identical by-reference handoff to an
 // identical helper is quiet when the lambda is a stream op (serialized
 // in stream order — no lanes to race) and fires when it is a parallel
@@ -163,16 +145,6 @@ TEST(MoBalanceCrossFile, EachHalfAloneIsUnpaired) {
   const auto load_only = findings_of(scan({kFlow / "mo_cross" / "mo_cross_load.cpp"}));
   ASSERT_EQ(load_only.size(), 1u);
   EXPECT_EQ(load_only.begin()->first, "mo-balance");
-}
-
-// The legacy reconstruction really is byte-identical: with flow off, the
-// cross-file pair must behave exactly as the token-level rule did.
-TEST(MoBalanceCrossFile, LegacyModeMatches) {
-  EXPECT_TRUE(findings_of(scan({kFlow / "mo_cross"}, /*run_flow=*/false)).empty());
-  const auto alone =
-      findings_of(scan({kFlow / "mo_cross" / "mo_cross_store.cpp"}, /*run_flow=*/false));
-  ASSERT_EQ(alone.size(), 1u);
-  EXPECT_EQ(alone.begin()->first, "mo-balance");
 }
 
 }  // namespace

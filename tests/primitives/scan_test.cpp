@@ -1,8 +1,8 @@
 // Property tests for device-wide exclusive/inclusive scans: bitwise
-// identity against the serial oracle over a (type, op) grid, under
-// multiple schedule configs, including in-place operation and the
-// non-commutative affine-composition op that detects any combine whose
-// operand order drifts.
+// identity against the serial oracle over a (type, op) grid and sizes on
+// both sides of the segment and block-tile boundaries, including
+// in-place operation and the non-commutative affine-composition op that
+// detects any combine whose operand order drifts.
 #include "primitives/scan.hpp"
 
 #include <gtest/gtest.h>
@@ -27,14 +27,6 @@ using simrt::SumOp;
 
 const std::size_t kSizes[] = {0, 1, 2, 3, 97, 1023, 1024, 1025, 4099, 10007};
 
-const ScanConfig kConfigs[] = {
-    {},           // defaults
-    {1, 1},       // degenerate single-lane, single-element chunks
-    {32, 4096},   // warp-width lanes, large chunks
-    {256, 1024},  // chunk == kSegment boundary alignment
-    {7, 129},     // awkward non-power-of-two schedule
-};
-
 template <class T>
 std::vector<T> random_values(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -56,7 +48,7 @@ bool vectors_bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
 }
 
 template <class T, class Op>
-void check_scans_all_schedules(std::uint64_t seed) {
+void check_scans(std::uint64_t seed) {
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
   const Op op;
   for (const std::size_t n : kSizes) {
@@ -64,25 +56,21 @@ void check_scans_all_schedules(std::uint64_t seed) {
     std::vector<T> want_ex(n), want_in(n);
     exclusive_scan_oracle(std::span<const T>(in), std::span<T>(want_ex), op);
     inclusive_scan_oracle(std::span<const T>(in), std::span<T>(want_in), op);
-    for (const ScanConfig& cfg : kConfigs) {
-      std::vector<T> out(n);
-      device_exclusive_scan(ctx, std::span<const T>(in), std::span<T>(out), op, cfg);
-      EXPECT_TRUE(vectors_bits_equal(out, want_ex))
-          << "exclusive n=" << n << " lanes=" << cfg.lanes << " chunk=" << cfg.chunk;
-      device_inclusive_scan(ctx, std::span<const T>(in), std::span<T>(out), op, cfg);
-      EXPECT_TRUE(vectors_bits_equal(out, want_in))
-          << "inclusive n=" << n << " lanes=" << cfg.lanes << " chunk=" << cfg.chunk;
-    }
+    std::vector<T> out(n);
+    device_exclusive_scan(ctx, std::span<const T>(in), std::span<T>(out), op);
+    EXPECT_TRUE(vectors_bits_equal(out, want_ex)) << "exclusive n=" << n;
+    device_inclusive_scan(ctx, std::span<const T>(in), std::span<T>(out), op);
+    EXPECT_TRUE(vectors_bits_equal(out, want_in)) << "inclusive n=" << n;
   }
 }
 
-TEST(DeviceScan, SumInt64) { check_scans_all_schedules<std::int64_t, SumOp<std::int64_t>>(1); }
-TEST(DeviceScan, SumUint32) { check_scans_all_schedules<std::uint32_t, SumOp<std::uint32_t>>(2); }
-TEST(DeviceScan, SumDouble) { check_scans_all_schedules<double, SumOp<double>>(3); }
-TEST(DeviceScan, SumFloat) { check_scans_all_schedules<float, SumOp<float>>(4); }
-TEST(DeviceScan, MaxInt32) { check_scans_all_schedules<std::int32_t, MaxOp<std::int32_t>>(5); }
-TEST(DeviceScan, MinDouble) { check_scans_all_schedules<double, MinOp<double>>(6); }
-TEST(DeviceScan, BitOrUint64) { check_scans_all_schedules<std::uint64_t, BitOrOp<std::uint64_t>>(7); }
+TEST(DeviceScan, SumInt64) { check_scans<std::int64_t, SumOp<std::int64_t>>(1); }
+TEST(DeviceScan, SumUint32) { check_scans<std::uint32_t, SumOp<std::uint32_t>>(2); }
+TEST(DeviceScan, SumDouble) { check_scans<double, SumOp<double>>(3); }
+TEST(DeviceScan, SumFloat) { check_scans<float, SumOp<float>>(4); }
+TEST(DeviceScan, MaxInt32) { check_scans<std::int32_t, MaxOp<std::int32_t>>(5); }
+TEST(DeviceScan, MinDouble) { check_scans<double, MinOp<double>>(6); }
+TEST(DeviceScan, BitOrUint64) { check_scans<std::uint64_t, BitOrOp<std::uint64_t>>(7); }
 
 TEST(DeviceScan, ExactExclusiveEqualsStdExclusiveScan) {
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
@@ -116,15 +104,12 @@ TEST(DeviceScan, NonCommutativeAffineKeepsElementOrder) {
       want[i] = run;
       run = op(run, in[i]);
     }
-    for (const ScanConfig& cfg : kConfigs) {
-      std::vector<Aff> out(n);
-      device_exclusive_scan(ctx, std::span<const Aff>(in), std::span<Aff>(out), op, cfg);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(out[i] == want[i])
-            << "n=" << n << " i=" << i << " lanes=" << cfg.lanes
-            << " chunk=" << cfg.chunk << ": {" << out[i].mul << "," << out[i].add
-            << "} vs {" << want[i].mul << "," << want[i].add << "}";
-      }
+    std::vector<Aff> out(n);
+    device_exclusive_scan(ctx, std::span<const Aff>(in), std::span<Aff>(out), op);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(out[i] == want[i])
+          << "n=" << n << " i=" << i << ": {" << out[i].mul << "," << out[i].add
+          << "} vs {" << want[i].mul << "," << want[i].add << "}";
     }
     std::vector<Aff> oracle(n);
     exclusive_scan_oracle(std::span<const Aff>(in), std::span<Aff>(oracle), op);
@@ -166,12 +151,13 @@ TEST(DeviceScan, InclusiveIsExclusiveShiftedForExactOps) {
   }
 }
 
-// Small (extent, threads) grid against hand-rolled sequential scans;
-// `threads` is the block width (ScanConfig::lanes).
-class ScanTest : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+// Extents at the schedule's boundaries (kSegment = 1024 elements per
+// slice, kScanChunk = 4096 per block tile) against hand-rolled
+// sequential scans.
+class ScanTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ScanTest, ExclusiveMatchesSerialReference) {
-  const auto [extent, threads] = GetParam();
+  const std::size_t extent = GetParam();
   std::vector<long> in(extent);
   for (std::size_t i = 0; i < extent; ++i) in[i] = static_cast<long>((i * 31 + 7) % 100);
   std::vector<long> expected(extent);
@@ -182,27 +168,25 @@ TEST_P(ScanTest, ExclusiveMatchesSerialReference) {
   }
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
   std::vector<long> out(extent, -1);
-  device_exclusive_scan(ctx, std::span<const long>(in), std::span<long>(out), SumOp<long>{},
-                        ScanConfig{.lanes = threads});
+  device_exclusive_scan(ctx, std::span<const long>(in), std::span<long>(out), SumOp<long>{});
   EXPECT_EQ(out, expected);
 }
 
 TEST_P(ScanTest, InclusiveMatchesPartialSum) {
-  const auto [extent, threads] = GetParam();
+  const std::size_t extent = GetParam();
   std::vector<long> in(extent);
   for (std::size_t i = 0; i < extent; ++i) in[i] = static_cast<long>(i % 13);
   std::vector<long> expected(extent);
   std::partial_sum(in.begin(), in.end(), expected.begin());
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
   std::vector<long> out(extent, -1);
-  device_inclusive_scan(ctx, std::span<const long>(in), std::span<long>(out), SumOp<long>{},
-                        ScanConfig{.lanes = threads});
+  device_inclusive_scan(ctx, std::span<const long>(in), std::span<long>(out), SumOp<long>{});
   EXPECT_EQ(out, expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(ExtentsAndThreads, ScanTest,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 5, 64, 1000),
-                                            ::testing::Values(1, 3, 4, 8)));
+INSTANTIATE_TEST_SUITE_P(Extents, ScanTest,
+                         ::testing::Values(0, 1, 1023, 1024, 1025, 4095, 4096, 4097,
+                                           12289));
 
 TEST(DeviceScan, MismatchedSpansRejected) {
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());

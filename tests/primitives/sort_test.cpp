@@ -1,7 +1,8 @@
-// Property tests for device-wide radix and merge sorts: bitwise identity
-// against the stable serial oracle across key types (including the
-// signed/float monotone bit bijections), radix widths, schedules, input
-// orders, and duplicate-heavy distributions that exercise stability.
+// Property tests for the radix sorts: bitwise identity against the
+// stable serial oracle across key types (including the signed/float
+// monotone bit bijections), sizes on both sides of the block-tile
+// boundary (kSortChunk = 8192), host radix widths, input orders, and
+// duplicate-heavy distributions that exercise stability.
 #include "primitives/sort.hpp"
 
 #include <gtest/gtest.h>
@@ -21,15 +22,7 @@
 namespace portabench::primitives {
 namespace {
 
-const std::size_t kSizes[] = {0, 1, 2, 3, 97, 1023, 1024, 1025, 4099};
-
-const SortConfig kConfigs[] = {
-    {},             // defaults
-    {2, 64, 4},     // narrow digits, tiny chunks, few lanes
-    {4, 2048, 32},  // mid-width digits
-    {8, 512, 16},   // whole-byte digits
-    {3, 100, 7},    // digit width not dividing the key width
-};
+const std::size_t kSizes[] = {0, 1, 2, 3, 97, 1023, 1024, 1025, 4099, 8191, 8192, 8193, 20011};
 
 template <class K>
 std::vector<K> random_keys(std::size_t n, std::uint64_t seed) {
@@ -58,13 +51,9 @@ void check_sort_keys(std::uint64_t seed) {
     const std::vector<K> in = random_keys<K>(n, seed + n);
     std::vector<K> want = in;
     sort_keys_oracle(std::span<K>(want));
-    for (const SortConfig& cfg : kConfigs) {
-      std::vector<K> got = in;
-      device_radix_sort_keys(ctx, std::span<K>(got), cfg);
-      EXPECT_TRUE(keys_bits_equal(got, want))
-          << "n=" << n << " radix_bits=" << cfg.radix_bits << " chunk=" << cfg.chunk
-          << " lanes=" << cfg.lanes;
-    }
+    std::vector<K> got = in;
+    device_radix_sort_keys(ctx, std::span<K>(got));
+    EXPECT_TRUE(keys_bits_equal(got, want)) << "n=" << n;
   }
 }
 
@@ -122,7 +111,7 @@ TEST(DeviceRadixSortPairs, StableOnDuplicateKeys) {
   // within every equal-key run stay in ascending input order — and the
   // whole result matches the stable oracle bitwise.
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  for (const std::size_t n : {std::size_t{97}, std::size_t{1025}, std::size_t{4099}}) {
+  for (const std::size_t n : {std::size_t{97}, std::size_t{4099}, std::size_t{20011}}) {
     Xoshiro256 rng(99 + n);
     std::vector<std::uint32_t> keys(n);
     for (auto& k : keys) k = static_cast<std::uint32_t>(rng() % 17);  // heavy duplication
@@ -132,16 +121,13 @@ TEST(DeviceRadixSortPairs, StableOnDuplicateKeys) {
     std::vector<std::uint32_t> want_k = keys, want_v = values;
     sort_pairs_oracle(std::span<std::uint32_t>(want_k), std::span<std::uint32_t>(want_v));
 
-    for (const SortConfig& cfg : kConfigs) {
-      std::vector<std::uint32_t> k = keys, v = values;
-      device_radix_sort_pairs(ctx, std::span<std::uint32_t>(k),
-                              std::span<std::uint32_t>(v), cfg);
-      EXPECT_TRUE(keys_bits_equal(k, want_k)) << "n=" << n << " rb=" << cfg.radix_bits;
-      EXPECT_TRUE(keys_bits_equal(v, want_v)) << "n=" << n << " rb=" << cfg.radix_bits;
-      for (std::size_t i = 1; i < n; ++i) {
-        if (k[i] == k[i - 1]) {
-          ASSERT_LT(v[i - 1], v[i]) << "stability violated at i=" << i;
-        }
+    device_radix_sort_pairs(ctx, std::span<std::uint32_t>(keys),
+                            std::span<std::uint32_t>(values));
+    EXPECT_TRUE(keys_bits_equal(keys, want_k)) << "n=" << n;
+    EXPECT_TRUE(keys_bits_equal(values, want_v)) << "n=" << n;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (keys[i] == keys[i - 1]) {
+        ASSERT_LT(values[i - 1], values[i]) << "stability violated at i=" << i;
       }
     }
   }
@@ -160,55 +146,6 @@ TEST(DeviceRadixSortPairs, DoubleKeysWithPayload) {
   device_radix_sort_pairs(ctx, std::span<double>(keys), std::span<std::uint64_t>(values));
   EXPECT_TRUE(keys_bits_equal(keys, want_k));
   EXPECT_TRUE(keys_bits_equal(values, want_v));
-}
-
-TEST(DeviceMergeSort, KeysMatchStableSortUnderCustomLess) {
-  // The merge path takes an arbitrary comparator the radix path cannot:
-  // order by absolute value, where stability is observable because
-  // x and -x are distinct elements that compare equal.
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  const auto abs_less = [](double a, double b) { return std::abs(a) < std::abs(b); };
-  for (const std::size_t n : kSizes) {
-    std::vector<double> in = random_keys<double>(n, 11 + n);
-    for (std::size_t i = 0; i + 1 < n; i += 2) in[i + 1] = -in[i];  // equal-|x| pairs
-    std::vector<double> want = in;
-    std::stable_sort(want.begin(), want.end(), abs_less);
-    for (const SortConfig& cfg : kConfigs) {
-      std::vector<double> got = in;
-      device_merge_sort_keys(ctx, std::span<double>(got), abs_less, cfg);
-      EXPECT_TRUE(keys_bits_equal(got, want))
-          << "n=" << n << " chunk=" << cfg.chunk << " lanes=" << cfg.lanes;
-    }
-  }
-}
-
-TEST(DeviceMergeSort, PairsMatchStableSort) {
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  const std::size_t n = 1025;
-  Xoshiro256 rng(13);
-  std::vector<std::int32_t> keys(n);
-  for (auto& k : keys) k = static_cast<std::int32_t>(rng() % 40) - 20;
-  std::vector<std::uint32_t> values(n);
-  std::iota(values.begin(), values.end(), std::uint32_t{0});
-  std::vector<std::int32_t> want_k = keys;
-  std::vector<std::uint32_t> want_v = values;
-  sort_pairs_oracle(std::span<std::int32_t>(want_k), std::span<std::uint32_t>(want_v));
-  device_merge_sort_pairs(ctx, std::span<std::int32_t>(keys),
-                          std::span<std::uint32_t>(values));
-  EXPECT_TRUE(keys_bits_equal(keys, want_k));
-  EXPECT_TRUE(keys_bits_equal(values, want_v));
-}
-
-TEST(DeviceMergeSort, AgreesWithRadixUnderBijectionOrder) {
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  const std::size_t n = 4099;
-  const std::vector<float> in = random_keys<float>(n, 21);
-  std::vector<float> radix = in, merge = in;
-  device_radix_sort_keys(ctx, std::span<float>(radix));
-  device_merge_sort_keys(ctx, std::span<float>(merge), [](float a, float b) {
-    return RadixTraits<float>::to_bits(a) < RadixTraits<float>::to_bits(b);
-  });
-  EXPECT_TRUE(keys_bits_equal(radix, merge));
 }
 
 TEST(HostRadixSortPairs, MatchesOracleAndReusesScratch) {
@@ -233,18 +170,6 @@ TEST(HostRadixSortPairs, MatchesOracleAndReusesScratch) {
     EXPECT_TRUE(keys_bits_equal(k, want_k)) << "radix_bits=" << radix_bits;
     EXPECT_TRUE(keys_bits_equal(v, want_v)) << "radix_bits=" << radix_bits;
   }
-}
-
-TEST(DeviceRadixSort, BadConfigRejected) {
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  std::vector<std::uint32_t> keys(16, 1);
-  SortConfig cfg;
-  cfg.radix_bits = 0;
-  EXPECT_THROW(device_radix_sort_keys(ctx, std::span<std::uint32_t>(keys), cfg),
-               precondition_error);
-  cfg.radix_bits = 9;
-  EXPECT_THROW(device_radix_sort_keys(ctx, std::span<std::uint32_t>(keys), cfg),
-               precondition_error);
 }
 
 TEST(DeviceRadixSortPairs, MismatchedSpansRejected) {

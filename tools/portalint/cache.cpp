@@ -203,9 +203,9 @@ void AnalysisCache::save(const std::filesystem::path& file) const {
 
     for (const OrderIR& o : e.ir.orders) {
       os << "o " << o.line << ' ' << (o.acq ? 1 : 0) << (o.rel ? 1 : 0)
-         << (o.has_explicit_order ? 1 : 0) << (o.operator_form ? 1 : 0)
-         << (o.token_visible ? 1 : 0) << ' ' << o.param_index << ' ' << esc(o.var) << ' '
-         << esc(o.op) << ' ' << esc(o.enclosing) << ' ' << esc(o.excerpt) << '\n';
+         << (o.has_explicit_order ? 1 : 0) << (o.operator_form ? 1 : 0) << ' '
+         << o.param_index << ' ' << esc(o.var) << ' ' << esc(o.op) << ' '
+         << esc(o.enclosing) << ' ' << esc(o.excerpt) << '\n';
     }
     os << "endfile\n";
   }
@@ -401,7 +401,7 @@ bool AnalysisCache::load(const std::filesystem::path& file) {
     } else if (tag == "o") {
       if (f.size() != 8) return fail();
       OrderIR o;
-      if (!to_int(f[1], o.line) || f[2].size() != 5 || !to_int(f[3], o.param_index) ||
+      if (!to_int(f[1], o.line) || f[2].size() != 4 || !to_int(f[3], o.param_index) ||
           !unesc(f[4], o.var) || !unesc(f[5], o.op) || !unesc(f[6], o.enclosing) ||
           !unesc(f[7], o.excerpt)) {
         return fail();
@@ -410,7 +410,6 @@ bool AnalysisCache::load(const std::filesystem::path& file) {
       o.rel = f[2][1] == '1';
       o.has_explicit_order = f[2][2] == '1';
       o.operator_form = f[2][3] == '1';
-      o.token_visible = f[2][4] == '1';
       o.is_param = o.param_index >= 0;
       entry->ir.orders.push_back(std::move(o));
     } else if (tag == "endfile") {

@@ -26,7 +26,7 @@
 
 namespace portalint {
 
-inline constexpr std::string_view kCacheVersion = "portalint-cache v2";  // v2: ln serialized bit
+inline constexpr std::string_view kCacheVersion = "portalint-cache v3";  // v3: four order flags
 
 /// A finding minus its FileUnit binding (re-bound on load).
 struct CachedFinding {

@@ -434,10 +434,8 @@ Result run_portalint(const Options& opts) {
 
   // Whole-tree passes always run fresh over the (possibly cached) IRs.
   {
-    std::vector<Finding> global = run_global_rules(project, irs, !opts.run_flow);
+    std::vector<Finding> global = run_global_rules(project);
     findings.insert(findings.end(), global.begin(), global.end());
-  }
-  if (opts.run_flow) {
     std::vector<Finding> flow = run_flow(project, irs);
     findings.insert(findings.end(), flow.begin(), flow.end());
   }

@@ -27,9 +27,6 @@ struct Options {
   /// Inputs that themselves point inside a fixtures tree are always
   /// scanned (tests pass fixture files explicitly).
   bool include_fixtures = false;
-  /// Run the portaflow interprocedural passes (fl-* rules).  Off, the
-  /// legacy token-level mo-balance is reconstructed instead.
-  bool run_flow = true;
   /// Incremental analysis cache file.  Empty: no caching.  Missing or
   /// corrupt caches are ignored (cold run), and the file is rewritten
   /// after every scan.

@@ -13,9 +13,8 @@
 // std::atomic<>& parameter are resolved through the call graph to the
 // caller's variable (transitively through forwarding helpers).  Groups
 // containing at least one resolved site are judged under the
-// fl-unpaired-ordering rule; purely name-matched groups keep the
-// original mo-balance id and semantics, so behaviour on code without
-// atomic-reference helpers is byte-identical to the token-level rule.
+// fl-unpaired-ordering rule; purely name-matched groups report under
+// the mo-balance id, which inline suppressions and baselines name.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -242,7 +241,7 @@ void run_ordering(const FlowContext& ctx, std::vector<Finding>& out) {
     const OrdSite& first = sites.front();
 
     if (!any_resolved) {
-      // Byte-identical to the token-level mo-balance rule.
+      // Name-matched only: no site was resolved through a helper.
       out.push_back(make_flow(
           *first.unit, first.line, "mo-balance", "concurrency",
           acq_only ? "atomic '" + name + "' has acquire-side loads but no " +

@@ -596,7 +596,6 @@ void collect_orders(const FileUnit& u, const std::vector<FuncSpan>& funcs,
       OrderIR o;
       o.var = var;
       o.op = t[j].text;
-      o.token_visible = token_evidence;
       o.has_explicit_order = !orders.empty();
       o.line = t[j].line;
       o.excerpt = excerpt_at(u, o.line);

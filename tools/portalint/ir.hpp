@@ -74,11 +74,6 @@ struct OrderIR {
   bool rel = false;
   bool has_explicit_order = false;
   bool operator_form = false;   // ++x / x += 1 on a declared atomic
-  /// True when the pre-portaflow token scan would also have counted this
-  /// site (mo-balance is reconstructed from exactly these on warm runs).
-  /// False for sites only the IR sees, e.g. a bare .load() whose atomic
-  /// evidence is a std::atomic& parameter declaration.
-  bool token_visible = true;
   std::string enclosing;        // enclosing function name, "" at file scope
   bool is_param = false;        // receiver is a parameter of `enclosing`
   int param_index = -1;         // index into that function's params

@@ -9,7 +9,6 @@
 //   --no-baseline        ignore any baseline file
 //   --include-fixtures   also scan directories named "fixtures"
 //   --cache <file>       incremental analysis cache (read + rewritten)
-//   --no-flow            disable the portaflow interprocedural passes
 //   --root <dir>         root for relative paths in reports
 //   --list-rules         print the rule catalogue and exit
 //
@@ -37,8 +36,6 @@ int main(int argc, char** argv) {
       opts.use_baseline = false;
     } else if (arg == "--include-fixtures") {
       opts.include_fixtures = true;
-    } else if (arg == "--no-flow") {
-      opts.run_flow = false;
     } else if (arg == "--cache" && i + 1 < argc) {
       opts.cache_path = argv[++i];
     } else if (arg == "--baseline" && i + 1 < argc) {
@@ -52,7 +49,7 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "-h" || arg == "--help") {
       std::cout << "usage: portalint [--json | --sarif] [--baseline FILE | --no-baseline] "
-                   "[--include-fixtures] [--cache FILE] [--no-flow] [--root DIR] "
+                   "[--include-fixtures] [--cache FILE] [--root DIR] "
                    "[--list-rules] <path>...\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {

@@ -8,7 +8,6 @@
 #include <set>
 
 #include "analysis.hpp"
-#include "ir.hpp"
 
 namespace portalint {
 
@@ -176,16 +175,7 @@ void rule_lane_safety(const FileUnit& u, std::vector<Finding>& out) {
 
 // --- concurrency: explicit memory orders -----------------------------------
 
-struct MoSite {
-  const FileUnit* unit;
-  int line;
-  bool acq;
-  bool rel;
-};
-
-void scan_memory_orders(const FileUnit& u, bool check_explicit,
-                        std::map<std::string, std::vector<MoSite>>& per_var,
-                        std::vector<Finding>& out) {
+void rule_mo_explicit(const FileUnit& u, std::vector<Finding>& out) {
   const auto& t = u.lex.tokens;
   const auto atomics = atomic_var_names(t);
 
@@ -219,26 +209,11 @@ void scan_memory_orders(const FileUnit& u, bool check_explicit,
           !atomics.count(var)) {
         continue;
       }
-      if (check_explicit && orders.empty()) {
+      if (orders.empty()) {
         out.push_back(make(u, t[j].line, "mo-explicit", "concurrency",
                            "atomic " + t[j].text + "() without an explicit memory_order " +
                                "(implicit seq_cst): state the ordering the algorithm needs"));
       }
-      const std::string& op = t[j].text;
-      const bool is_load = op == "load";
-      const bool is_store = op == "store";
-      bool acq = false;
-      bool rel = false;
-      if (orders.empty()) {  // implicit seq_cst
-        acq = !is_store;
-        rel = !is_load;
-      }
-      for (const std::string& o : orders) {
-        const bool strong = o == "seq_cst" || o == "acq_rel";
-        if (!is_store && (o == "acquire" || o == "consume" || strong)) acq = true;
-        if (!is_load && (o == "release" || strong)) rel = true;
-      }
-      if (!var.empty() && (acq || rel)) per_var[var].push_back({&u, t[j].line, acq, rel});
       continue;
     }
 
@@ -251,48 +226,13 @@ void scan_memory_orders(const FileUnit& u, bool check_explicit,
       const bool op_next = next.kind == Tok::kPunct && assign_ops().count(next.text);
       const bool op_prev = is_punct(prev, "++") || is_punct(prev, "--");
       if (!decl_site && !member && (op_next || op_prev)) {
-        if (check_explicit) {
-          const std::string op = op_prev ? prev.text : next.text;
-          out.push_back(make(u, t[j].line, "mo-explicit", "concurrency",
-                             "operator " + op + " on atomic '" + t[j].text + "' is an " +
-                                 "implicit seq_cst RMW; use an explicit fetch_/store with " +
-                                 "a named memory_order"));
-        }
-        per_var[t[j].text].push_back({&u, t[j].line, true, true});
+        const std::string op = op_prev ? prev.text : next.text;
+        out.push_back(make(u, t[j].line, "mo-explicit", "concurrency",
+                           "operator " + op + " on atomic '" + t[j].text + "' is an " +
+                               "implicit seq_cst RMW; use an explicit fetch_/store with " +
+                               "a named memory_order"));
       }
     }
-  }
-}
-
-void rule_mo_balance(const std::map<std::string, std::vector<MoSite>>& per_var,
-                     std::vector<Finding>& out) {
-  for (const auto& [name, sites] : per_var) {
-    int acq = 0;
-    int rel = 0;
-    for (const MoSite& s : sites) {
-      acq += s.acq ? 1 : 0;
-      rel += s.rel ? 1 : 0;
-    }
-    const bool acq_only = acq > 0 && rel == 0;
-    const bool rel_only = rel > 0 && acq == 0;
-    if (!acq_only && !rel_only) continue;
-    bool suppressed = false;
-    for (const MoSite& s : sites) {
-      if (s.unit->find_suppression(s.line, "mo-balance") != nullptr) {
-        suppressed = true;
-        break;
-      }
-    }
-    if (suppressed) continue;
-    const MoSite& first = sites.front();
-    out.push_back(make(*first.unit, first.line, "mo-balance", "concurrency",
-                       acq_only
-                           ? "atomic '" + name + "' has acquire-side loads but no " +
-                                 "release-side store anywhere in the scanned tree: the " +
-                                 "acquire synchronizes with nothing"
-                           : "atomic '" + name + "' has release-side stores but no " +
-                                 "acquire-side load anywhere in the scanned tree: the " +
-                                 "release publishes to nobody"));
   }
 }
 
@@ -679,12 +619,9 @@ const std::vector<RuleDesc>& all_rules() {
 
 std::vector<Finding> run_file_rules(const FileUnit& u) {
   std::vector<Finding> out;
-  // Ordering sites for mo-balance are reconstructed from the IR by the
-  // global/flow layer; this throwaway map only feeds mo-explicit.
-  std::map<std::string, std::vector<MoSite>> per_var;
   rule_lane_safety(u, out);
   if (!in_tests(u)) {
-    scan_memory_orders(u, /*check_explicit=*/true, per_var, out);
+    rule_mo_explicit(u, out);
     if (!in_runtime_dirs(u)) rule_raw_thread(u, out);
   }
   if (!rng_exempt(u)) rule_det_rand(u, out);
@@ -696,47 +633,9 @@ std::vector<Finding> run_file_rules(const FileUnit& u) {
   return out;
 }
 
-std::vector<Finding> run_global_rules(const Project& project,
-                                      const std::vector<FileIR>& irs,
-                                      bool legacy_mo_balance) {
+std::vector<Finding> run_global_rules(const Project& project) {
   std::vector<Finding> out;
-  if (legacy_mo_balance) {
-    // The historical token-scan mo-balance, reconstructed from exactly
-    // the sites that scan counted (OrderIR::token_visible), grouped by
-    // receiver name with no call-graph resolution.
-    std::map<std::string, std::vector<MoSite>> per_var;
-    for (std::size_t i = 0; i < project.files.size() && i < irs.size(); ++i) {
-      const FileUnit& u = project.files[i];
-      if (in_tests(u)) continue;
-      for (const OrderIR& o : irs[i].orders) {
-        if (!o.token_visible || o.var.empty() || (!o.acq && !o.rel)) continue;
-        per_var[o.var].push_back({&u, o.line, o.acq, o.rel});
-      }
-    }
-    rule_mo_balance(per_var, out);
-  }
   rule_include_cycle(project, out);
-  return out;
-}
-
-std::vector<Finding> run_rules(const Project& project) {
-  std::vector<Finding> out;
-  std::vector<FileIR> irs;
-  irs.reserve(project.files.size());
-  for (const FileUnit& u : project.files) {
-    auto file_findings = run_file_rules(u);
-    out.insert(out.end(), std::make_move_iterator(file_findings.begin()),
-               std::make_move_iterator(file_findings.end()));
-    irs.push_back(build_ir(u));
-  }
-  auto global = run_global_rules(project, irs, /*legacy_mo_balance=*/true);
-  out.insert(out.end(), std::make_move_iterator(global.begin()),
-             std::make_move_iterator(global.end()));
-  std::stable_sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    if (a.unit->rel != b.unit->rel) return a.unit->rel < b.unit->rel;
-    if (a.line != b.line) return a.line < b.line;
-    return a.rule < b.rule;
-  });
   return out;
 }
 

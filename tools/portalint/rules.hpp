@@ -7,14 +7,13 @@
 //   determinism   det-rand, det-unordered, fl-det-taint
 //   hygiene       hy-pragma-once, hy-using-ns, hy-include-cycle
 //
-// The fl-* rules are implemented by the portaflow passes (flow.hpp) over
-// the per-file IR; everything else is token-level.
+// The fl-* rules and mo-balance are implemented by the portaflow passes
+// (flow.hpp) over the per-file IR; everything else is token-level.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "ir.hpp"
 #include "model.hpp"
 
 namespace portalint {
@@ -39,21 +38,10 @@ struct RuleDesc {
 /// hy-include-cycle).  Cacheable: depends on nothing but the file.
 [[nodiscard]] std::vector<Finding> run_file_rules(const FileUnit& u);
 
-/// Whole-tree rules: hy-include-cycle, and — when `legacy_mo_balance`
-/// — the name-matching mo-balance reconstructed from the IR ordering
-/// sites (identical to the historical token scan).  With portaflow
-/// enabled the engine passes false and the ordering pass in
-/// flow_lane.cpp emits mo-balance/fl-unpaired-ordering instead.
-[[nodiscard]] std::vector<Finding> run_global_rules(const Project& project,
-                                                    const std::vector<FileIR>& irs,
-                                                    bool legacy_mo_balance);
-
-/// Run every token rule over the project (no flow passes): per-file
-/// rules plus legacy global rules.  Emitted findings are NOT yet
-/// filtered by inline suppressions or the baseline (the engine does
-/// that), with one exception: multi-site rules (mo-balance,
-/// hy-include-cycle) honor suppressions on any participating line
+/// Whole-tree token rules: hy-include-cycle.  (mo-balance and
+/// fl-unpaired-ordering come from the ordering pass in flow_lane.cpp.)
+/// Multi-site rules honor suppressions on any participating line
 /// themselves, since a single anchor line cannot represent them.
-[[nodiscard]] std::vector<Finding> run_rules(const Project& project);
+[[nodiscard]] std::vector<Finding> run_global_rules(const Project& project);
 
 }  // namespace portalint
