@@ -1,7 +1,7 @@
 // Serving-layer throughput bench: millions of small mixed jobs through
 // the launch engine.
 //
-// Three measured phases, all driven by the deterministic serve::TraceGen
+// Two measured phases, both driven by the deterministic serve::TraceGen
 // (same seed → bit-for-bit the same trace):
 //
 //   small-gemm  the gated mix: tiled-frontend GEMMs in the bucket-batching
@@ -14,31 +14,24 @@
 //   mixed       the full taxonomy (GEMM x 5 frontends x 3 precisions,
 //               SpMV, stencil) at the default trace weights — reported,
 //               not gated.
-//   latency     open-loop Poisson arrivals against a fresh engine at a
-//               rate derived from the measured served throughput; per-job
-//               latency is completion time minus *scheduled* arrival
-//               (open-loop: queueing delay counts), summarized as
-//               p50/p99/p999 via percentile_of.
 //
-// BENCH_serve.json records sustained req/s, speedup, latency percentiles,
-// and the engine's arena/backpressure accounting.  --require-throughput X
-// makes the binary exit nonzero unless the small-gemm served/serial
-// speedup reaches X — the CI release-bench job pins the PR's 5x target on
-// >= 8-core runners.
+// Served latency under fixed open-loop arrival rates is bench/e2e's
+// serve-open-gemm workload.  BENCH_serve.json records sustained req/s,
+// speedup, and the engine's arena/backpressure accounting.
+// --require-throughput X makes the binary exit nonzero unless the
+// small-gemm served/serial speedup reaches X — the CI release-bench job
+// pins a 5x target on >= 8-core runners.
 //
-// Usage: serve_throughput [--jobs N] [--latency-jobs N] [--shards N]
-//                         [--batch N] [--min-n N] [--max-n N] [--rate R]
-//                         [--seed S] [--require-throughput X] [--out PATH]
+// Usage: serve_throughput [--jobs N] [--shards N] [--batch N] [--min-n N]
+//                         [--max-n N] [--seed S] [--require-throughput X]
+//                         [--out PATH]
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
-#include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "serve/engine.hpp"
@@ -50,13 +43,11 @@ namespace {
 using namespace portabench;
 
 struct Options {
-  std::size_t jobs = 8000;          // small-gemm phase (mixed runs jobs/2)
-  std::size_t latency_jobs = 3000;  // open-loop Poisson phase
+  std::size_t jobs = 8000;  // small-gemm phase (mixed runs jobs/2)
   std::size_t shards = 4;
   std::size_t batch = 32;
   std::uint32_t min_n = 32;
   std::uint32_t max_n = 80;
-  double rate = 0.0;  // Poisson arrival rate (req/s); 0 = derive from measured
   std::uint64_t seed = 1;
   double require_throughput = 0.0;  // minimum small-gemm speedup; 0 = report only
   std::string out = "BENCH_serve.json";
@@ -149,69 +140,6 @@ PhaseResult run_phase(const Options& opt, const serve::TraceConfig& trace_cfg,
   return r;
 }
 
-struct LatencyResult {
-  std::size_t jobs = 0;
-  double rate_rps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-  double max_ms = 0.0;
-};
-
-/// Open-loop Poisson load: arrivals are scheduled up front from the seed
-/// and submitted on schedule regardless of completion progress, so
-/// latency includes every queueing effect.
-LatencyResult run_latency(const Options& opt, const serve::TraceConfig& trace_cfg,
-                          double rate_rps) {
-  LatencyResult lr;
-  lr.jobs = opt.latency_jobs;
-  lr.rate_rps = rate_rps;
-
-  serve::TraceGen gen(trace_cfg);
-  std::vector<serve::JobDesc> trace;
-  trace.reserve(lr.jobs);
-  for (std::size_t i = 0; i < lr.jobs; ++i) trace.push_back(gen.next());
-
-  // Exponential inter-arrival gaps, deterministic for the seed.
-  std::vector<double> arrival(lr.jobs);
-  Xoshiro256 rng(opt.seed ^ 0x9E3779B97F4A7C15ULL);
-  double t = 0.0;
-  for (std::size_t i = 0; i < lr.jobs; ++i) {
-    const double u = std::min(rng.uniform(), 0.999999999);
-    t += -std::log(1.0 - u) / rate_rps;
-    arrival[i] = t;
-  }
-
-  std::vector<double> done(lr.jobs, 0.0);
-  serve::ServeConfig cfg;
-  cfg.shards = opt.shards;
-  cfg.batch_jobs = opt.batch;
-  cfg.max_n = std::max(trace_cfg.max_n, opt.max_n);
-  Timer clock;
-  cfg.on_complete = [&](const serve::JobResult& res) { done[res.id] = clock.seconds(); };
-  serve::ServeEngine engine(cfg);
-
-  clock.reset();
-  for (std::size_t i = 0; i < lr.jobs; ++i) {
-    while (clock.seconds() < arrival[i]) {
-      // open-loop pacing: spin until the scheduled arrival instant
-    }
-    while (engine.try_submit(trace[i]) == serve::AdmitError::kQueueFull) {
-    }
-  }
-  engine.drain();
-
-  std::vector<double> latency_ms(lr.jobs);
-  for (std::size_t i = 0; i < lr.jobs; ++i) {
-    latency_ms[i] = (done[i] - arrival[i]) * 1e3;
-  }
-  lr.p50_ms = percentile_of(latency_ms, 50.0);
-  lr.p99_ms = percentile_of(latency_ms, 99.0);
-  lr.p999_ms = percentile_of(latency_ms, 99.9);
-  lr.max_ms = *std::max_element(latency_ms.begin(), latency_ms.end());
-  return lr;
-}
-
 void write_phase(JsonWriter& w, const PhaseResult& r) {
   w.begin_object();
   w.key("jobs");
@@ -246,8 +174,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       opt.jobs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--latency-jobs") == 0 && i + 1 < argc) {
-      opt.latency_jobs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       opt.shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
@@ -256,8 +182,6 @@ int main(int argc, char** argv) {
       opt.min_n = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--max-n") == 0 && i + 1 < argc) {
       opt.max_n = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-      opt.rate = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       opt.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--require-throughput") == 0 && i + 1 < argc) {
@@ -265,9 +189,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       opt.out = argv[++i];
     } else {
-      std::cerr << "usage: serve_throughput [--jobs N] [--latency-jobs N] "
-                   "[--shards N] [--batch N] [--min-n N] [--max-n N] [--rate R] "
-                   "[--seed S] [--require-throughput X] [--out PATH]\n";
+      std::cerr << "usage: serve_throughput [--jobs N] [--shards N] [--batch N] "
+                   "[--min-n N] [--max-n N] [--seed S] [--require-throughput X] "
+                   "[--out PATH]\n";
       return 2;
     }
   }
@@ -309,16 +233,6 @@ int main(int argc, char** argv) {
   std::cout << "-- sustained throughput, bitwise-verified against run_serial --\n"
             << table.to_markdown() << "\n";
 
-  // Open-loop latency at ~60% of the measured served throughput (or the
-  // explicit --rate), over the gated small-GEMM mix.
-  const double rate = opt.rate > 0.0 ? opt.rate : 0.6 * gemm_phase.served_rps;
-  const LatencyResult lat = run_latency(opt, small_gemm, rate);
-  std::cout << "-- open-loop Poisson latency @ " << Table::num(lat.rate_rps, 0)
-            << " req/s over " << lat.jobs << " jobs --\n"
-            << "p50 = " << Table::num(lat.p50_ms, 3) << " ms, p99 = "
-            << Table::num(lat.p99_ms, 3) << " ms, p999 = " << Table::num(lat.p999_ms, 3)
-            << " ms, max = " << Table::num(lat.max_ms, 3) << " ms\n\n";
-
   std::cout << "arena: high water = " << gemm_phase.arena_high_water << " bytes, "
             << gemm_phase.arena_grow_events << " grow events (small-gemm mix)\n";
 
@@ -339,21 +253,6 @@ int main(int argc, char** argv) {
   write_phase(w, gemm_phase);
   w.key("mixed");
   write_phase(w, mixed_phase);
-  w.key("latency");
-  w.begin_object();
-  w.key("jobs");
-  w.value(lat.jobs);
-  w.key("rate_rps");
-  w.value(lat.rate_rps);
-  w.key("p50_ms");
-  w.value(lat.p50_ms);
-  w.key("p99_ms");
-  w.value(lat.p99_ms);
-  w.key("p999_ms");
-  w.value(lat.p999_ms);
-  w.key("max_ms");
-  w.value(lat.max_ms);
-  w.end_object();
   w.key("required_speedup");
   w.value(opt.require_throughput);
   if (const int rc = artifact.write(opt.out); rc != 0) return rc;

@@ -6,8 +6,9 @@
 // by construction, so the engine runs them across the lock-free simrt
 // ThreadPool: launch() and launch_blocks() hand the engine a per-block
 // body, the engine deals contiguous block chunks to the pool workers
-// through one relaxed fetch_add counter, and sub-cutoff grids skip the
-// fork entirely (the same grain-based elision as ThreadPool::run_auto).
+// through one relaxed fetch_add counter, and sub-cutoff grids and
+// one-block launches skip the fork entirely (the same grain-based elision
+// as ThreadPool::run_auto; a fork cannot split one block).
 //
 // The engine also owns the two pieces of per-launch state that used to be
 // reallocated on every launch:
@@ -20,10 +21,11 @@
 //
 // One engine is shared process-wide by default (DeviceContext::engine()),
 // so a test binary with dozens of DeviceContexts spawns one worker team,
-// not dozens.  Concurrent launches (e.g. from two async Streams) are
-// serialized on an internal mutex.  Real GPUs run kernels from different
-// streams concurrently; the serialization is a limit of this simulator,
-// whose pool runs one region at a time.  A launch issued from *inside* an
+// not dozens.  Concurrent forked launches (e.g. from two async Streams)
+// are serialized on an internal mutex; launches that run on their caller
+// take no lock.  Real GPUs run kernels from different streams
+// concurrently; the serialization is a limit of this simulator, whose
+// pool runs one region at a time.  A launch issued from *inside* an
 // engine region (a kernel launching a kernel, or a sub-cutoff launch on a
 // pool worker) degrades to the serial inline walk instead of deadlocking
 // on the non-reentrant pool.
@@ -78,17 +80,18 @@ class LaunchEngine {
   static constexpr std::size_t kSerialWorker = static_cast<std::size_t>(-1);
 
   /// Run body(worker, block) for every block in [0, num_blocks).
-  /// Forks across the pool when `total_threads` (the launch's simulated
-  /// thread count) reaches simrt::kForkCutoff — below it the fork-join
-  /// rendezvous costs more than the lanes — and the caller is not
-  /// already inside a region; otherwise runs serially on the caller with
-  /// worker id kSerialWorker.  Blocks are dealt to workers in contiguous
-  /// chunks via a shared counter, so guard-trimmed edge blocks
-  /// load-balance.
+  /// Forks across the pool when there are at least two blocks, the
+  /// launch's simulated thread count (`total_threads`) reaches
+  /// simrt::kForkCutoff — below it the fork-join rendezvous costs more
+  /// than the lanes — and the caller is not already inside a region;
+  /// otherwise runs serially on the caller with worker id kSerialWorker.
+  /// Blocks are dealt to workers in contiguous chunks via a shared
+  /// counter, so guard-trimmed edge blocks load-balance.
   template <class Body>
   void run_blocks(std::size_t num_blocks, std::size_t total_threads, Body&& body) {
     if (num_blocks == 0) return;
-    if (total_threads < simrt::kForkCutoff || num_workers_ <= 1 || in_region()) {
+    if (num_blocks == 1 || total_threads < simrt::kForkCutoff || num_workers_ <= 1 ||
+        in_region()) {
       for (std::size_t b = 0; b < num_blocks; ++b) body(kSerialWorker, b);
       return;
     }

@@ -333,8 +333,17 @@ AdmitError ServeEngine::try_submit(const JobDesc& desc) {
     return AdmitError::kQueueFull;
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t nth = shard.submitted.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (nth % config_.batch_jobs == 0) schedule_flush(shard);
+  if (shard.stream.mode() == gpusim::StreamMode::kAsync) {
+    // Doorbell: the first job into an idle shard schedules its flush.  A
+    // ring that finds the bell set is covered by the flush already
+    // scheduled, which clears it only after this job's push.
+    if (!shard.doorbell.exchange(true, std::memory_order_acq_rel)) schedule_flush(shard);
+  } else {
+    // Eager streams flush inline on the submitter, so they keep the count
+    // trigger: the sanitized tier still runs multi-job buckets.
+    const std::uint64_t nth = shard.submitted.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (nth % config_.batch_jobs == 0) schedule_flush(shard);
+  }
   return AdmitError::kNone;
 }
 
@@ -342,11 +351,21 @@ void ServeEngine::schedule_flush(Shard& shard) {
   std::lock_guard<ShardMutex> lock(shard.submit_mutex);
   try {
     shard.stream.enqueue(0.0, [this, &shard] {
-      const FlushOutcome out = flush_shard(shard, config_.batch_jobs);
-      if (out.injected != 0) {
-        batch_errors_.fetch_add(1, std::memory_order_relaxed);
-        throw batch_error("serve: injected batch failure");
+      // Clear the bell before the first pop: a job whose ring comes later
+      // schedules the next flush.  Jobs that rang earlier may fill more
+      // than one batch, so go on until a batch comes back short, and
+      // throw only then, so a fault never strands them.
+      shard.doorbell.exchange(false, std::memory_order_acq_rel);
+      bool failed = false;
+      for (;;) {
+        const FlushOutcome out = flush_shard(shard, config_.batch_jobs);
+        if (out.injected != 0) {
+          batch_errors_.fetch_add(1, std::memory_order_relaxed);
+          failed = true;
+        }
+        if (out.popped < config_.batch_jobs) break;
       }
+      if (failed) throw batch_error("serve: injected batch failure");
     });
   } catch (const batch_error&) {
     // Eager streams run the op inline, so there is no error stash: the

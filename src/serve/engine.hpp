@@ -5,9 +5,13 @@
 // queues; each shard batches its jobs, size-buckets them by
 // (kind, frontend, precision, size class), and runs every bucket as one
 // launch over the shared LaunchEngine — the tiled-microkernel batched
-// GEMM path for the small-GEMM buckets.  All job storage is carved out
-// of per-shard reusable arenas: the steady state performs zero
-// allocation.  Full architecture in docs/SERVE.md.
+// GEMM path for the small-GEMM buckets.  Batching is continuous: the
+// first job into an idle shard rings its doorbell, which schedules a
+// flush of whatever is queued by the time the flush runs, up to
+// batch_jobs at a time (eager streams, which exist only under
+// portacheck, flush on every batch_jobs-th job instead).  All job
+// storage is carved out of per-shard reusable arenas: the steady state
+// performs zero allocation.  Full architecture in docs/SERVE.md.
 //
 // Contracts:
 //   - Deterministic: every job's result is a pure function of its
@@ -52,7 +56,7 @@ class batch_error : public std::runtime_error {
 /// legitimately owns locks the way simrt/gpusim do.
 using ShardMutex = std::mutex;  // portalint: raw-thread-ok(serve is a runtime layer: shard submit/flush ordering needs a real lock)
 
-/// Flush-batch size when the caller does not pick one.
+/// Cap on jobs per flush when the caller does not pick one.
 // portalint: tn-magic-tile-ok(ServeConfig::batch_jobs default; named once here)
 inline constexpr std::size_t kDefaultBatchJobs = 32;
 
@@ -69,7 +73,8 @@ inline constexpr std::size_t kDefaultBatchJobs = 32;
 struct ServeConfig {
   std::size_t shards = 4;
   std::size_t queue_capacity = 1024;  ///< per-shard admission queue bound
-  std::size_t batch_jobs = kDefaultBatchJobs;  ///< jobs per flush (and the flush trigger)
+  /// Cap on jobs per flush; the flush trigger only on eager streams.
+  std::size_t batch_jobs = kDefaultBatchJobs;
   std::uint32_t max_n = 256;          ///< admission bound on problem size
   /// Completion sink; called on the flushing thread, jobs of a batch
   /// delivered in deterministic (bucket, id) order.  Must be thread-safe
@@ -90,7 +95,7 @@ struct ServeStats {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;       ///< flushes that processed >= 1 job
-  std::uint64_t batch_errors = 0;  ///< batches that threw batch_error
+  std::uint64_t batch_errors = 0;  ///< batches that marked jobs failed
   std::uint64_t rejected_total = 0;
   /// Sheds/rejects by reason, indexed by AdmitError (kNone slot unused).
   std::array<std::uint64_t, 6> rejected_by{};
@@ -152,7 +157,10 @@ class ServeEngine {
     gpusim::Stream stream;       ///< kAsync: flushes run on the stream worker
     ShardMutex submit_mutex;  ///< guards stream.enqueue (not thread-safe)
     ShardMutex flush_mutex;   ///< serializes flush bodies (arena + staging)
-    std::atomic<std::uint64_t> submitted{0};
+    /// Set while a flush is scheduled and has not yet started popping
+    /// (async streams only).
+    std::atomic<bool> doorbell{false};
+    std::atomic<std::uint64_t> submitted{0};  ///< accepts (eager trigger)
     WorkerArena arena;
     // Flush staging, reserved once and reused (zero steady-state alloc).
     std::vector<JobSlot> slots;

@@ -7,12 +7,15 @@
 
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "gpusim/batch.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/launch.hpp"
 #include "portacheck/hooks.hpp"
+#include "simrt/tunables.hpp"
 
 namespace portabench::gpusim {
 namespace {
@@ -100,6 +103,25 @@ TEST_F(LaunchEngineTest, SubCutoffLaunchRunsInline) {
     ++count;
   });
   EXPECT_EQ(count, 4u);
+}
+
+TEST_F(LaunchEngineTest, OneItemBatchRunsOnCaller) {
+  // Far above the fork cutoff, but a fork cannot split one item: it runs
+  // on the calling thread with the serial worker id, as a sub-cutoff
+  // launch does.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  std::size_t worker = 0;
+  std::size_t calls = 0;
+  run_batch(*engine_, 1, 16 * simrt::kForkCutoff, [&](std::size_t w, std::size_t item) {
+    // portalint: ls-capture-write-ok(a one-item batch runs on the caller; that is the assertion)
+    ran_on = std::this_thread::get_id();
+    worker = w;
+    calls += 1 + item;
+  });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_EQ(worker, LaunchEngine::kSerialWorker);
 }
 
 TEST_F(LaunchEngineTest, NestedLaunchDegradesToSerial) {

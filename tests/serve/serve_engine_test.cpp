@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <thread>
 #include <vector>
 
+#include "portacheck/hooks.hpp"
 #include "serve/serial.hpp"
 #include "serve/trace.hpp"
 
@@ -31,6 +34,19 @@ class ResultSink {
   [[nodiscard]] std::map<std::uint64_t, JobResult> take() {
     std::lock_guard<std::mutex> lock(mutex_);
     return results_;
+  }
+
+  /// Poll until `count` results arrived; false after 30 s without them.
+  [[nodiscard]] bool wait_for(std::size_t count) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (results_.size() >= count) return true;
+      }
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
  private:
@@ -169,7 +185,7 @@ TEST(ServeEngineTest, BackpressureShedsAreTypedAndSurvivorsStayBitwise) {
   ServeConfig cfg;
   cfg.shards = 2;
   cfg.queue_capacity = 4;  // tiny bound: force queue-full sheds
-  cfg.batch_jobs = 64;     // flush trigger rarely fires before the queue fills
+  cfg.batch_jobs = 64;     // no eager trigger; async flushes trail the submit loop
   cfg.on_complete = std::ref(sink);
   ServeEngine engine(cfg);
 
@@ -325,6 +341,119 @@ TEST(ServeEngineTest, MultiDeviceTopologyRoutesShardsAndStaysBitwise) {
   // device, so each context must have seen launches.
   EXPECT_GT(engine.topology().context(0).counters().kernel_launches, 0u);
   EXPECT_GT(engine.topology().context(1).counters().kernel_launches, 0u);
+}
+
+// Continuous batching: on async streams the first job into an idle shard
+// schedules a flush, so no job waits for a batch to fill or for drain().
+// Eager streams (portacheck) flush only on every batch_jobs-th accept.
+
+TEST(ServeEngineTest, LoneJobIsDeliveredWithoutDrain) {
+  if (portacheck::active()) GTEST_SKIP() << "eager streams flush every batch_jobs accepts";
+  ResultSink sink;
+  ServeConfig cfg;
+  cfg.shards = 2;
+  cfg.on_complete = std::ref(sink);
+  ServeEngine engine(cfg);
+  ASSERT_LT(1u, cfg.batch_jobs);
+  // n = 64: the one-job fill and bucket launches reach the fork cutoff.
+  const JobDesc d{5, JobKind::kGemm, Frontend::kTiled, Precision::kDouble, 64, 0xA11CEull};
+  ASSERT_EQ(engine.try_submit(d), AdmitError::kNone);
+  ASSERT_TRUE(sink.wait_for(1)) << "a lone job waited for its batch to fill";
+  expect_bitwise_identical({d}, sink.take());
+  engine.drain();
+  EXPECT_EQ(engine.stats().completed, 1u);
+}
+
+TEST(ServeEngineTest, PausedConcurrentProducersAreDeliveredWithoutDrain) {
+  if (portacheck::active()) GTEST_SKIP() << "eager streams flush every batch_jobs accepts";
+  TraceConfig tcfg;
+  tcfg.seed = 41;
+  tcfg.min_n = 4;
+  tcfg.max_n = 40;
+  const auto trace = make_trace(tcfg, 203);
+  ResultSink sink;
+  ServeConfig cfg;
+  cfg.shards = 3;
+  cfg.batch_jobs = 8;
+  ASSERT_NE(trace.size() % cfg.batch_jobs, 0u);
+  cfg.on_complete = std::ref(sink);
+  ServeEngine engine(cfg);
+
+  constexpr std::size_t kProducers = 4;
+  std::vector<std::thread> producers;
+  for (std::size_t t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (std::size_t i = t; i < trace.size(); i += kProducers) {
+        while (engine.try_submit(trace[i]) == AdmitError::kQueueFull) {
+        }
+        // Pauses let shards go idle mid-trace, so flushes of every size run.
+        if (i % 7 == 0) std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+  ASSERT_TRUE(sink.wait_for(trace.size())) << "jobs left queued without drain()";
+  expect_bitwise_identical(trace, sink.take());
+  engine.drain();
+  const ServeStats st = engine.stats();
+  EXPECT_EQ(st.accepted, trace.size());
+  EXPECT_EQ(st.completed, trace.size());
+}
+
+TEST(ServeEngineTest, FailedFlushStrandsNoLaterJob) {
+  if (portacheck::active()) GTEST_SKIP() << "eager streams flush every batch_jobs accepts";
+  ResultSink sink;
+  ServeConfig cfg;
+  cfg.shards = 1;
+  cfg.batch_jobs = 1;  // the failing job fills its flush; the rest must still run
+  cfg.on_complete = std::ref(sink);
+  cfg.fail_injection = [](const JobDesc& d) { return d.id == 0; };
+  ServeEngine engine(cfg);
+  // Submitted back to back, the healthy jobs usually ring while the
+  // failing job's flush is still scheduled, so only that flush covers them.
+  std::vector<JobDesc> good;
+  for (std::uint64_t id = 0; id < 5; ++id) {
+    const JobDesc d{id, JobKind::kGemm, Frontend::kTiled, Precision::kSingle, 16,
+                    0x600Dull + id};
+    if (id != 0) good.push_back(d);
+    ASSERT_EQ(engine.try_submit(d), AdmitError::kNone);
+  }
+  ASSERT_TRUE(sink.wait_for(5)) << "a job queued behind a failed flush was stranded";
+  const auto results = sink.take();
+  EXPECT_EQ(results.at(0).status, JobStatus::kFailed);
+  expect_bitwise_identical(good, results);
+  engine.drain();  // absorbs the stashed batch_error
+  const ServeStats st = engine.stats();
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.completed, good.size());
+  EXPECT_EQ(st.batch_errors, 1u);
+}
+
+TEST(ServeEngineTest, EagerStreamFlushesOneBatchPerBatchJobsAccepts) {
+  if (!portacheck::active()) GTEST_SKIP() << "async streams flush when the shard is idle";
+  TraceConfig tcfg;
+  tcfg.seed = 43;
+  tcfg.min_n = 4;
+  tcfg.max_n = 16;
+  const auto trace = make_trace(tcfg, 8);
+  ResultSink sink;
+  ServeConfig cfg;
+  cfg.shards = 1;
+  cfg.batch_jobs = trace.size();
+  cfg.on_complete = std::ref(sink);
+  ServeEngine engine(cfg);
+  for (std::size_t i = 0; i + 1 < trace.size(); ++i) {
+    ASSERT_EQ(engine.try_submit(trace[i]), AdmitError::kNone);
+  }
+  EXPECT_EQ(engine.stats().batches, 0u);
+  ASSERT_EQ(engine.try_submit(trace.back()), AdmitError::kNone);
+  // The eager flush ran inline on the last accept, over all of them.
+  const ServeStats st = engine.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.completed, trace.size());
+  expect_bitwise_identical(trace, sink.take());
+  engine.drain();
+  EXPECT_EQ(engine.stats().batches, 1u);
 }
 
 }  // namespace
