@@ -4,8 +4,8 @@
 // Two measured phases, both driven by the deterministic serve::TraceGen
 // (same seed → bit-for-bit the same trace):
 //
-//   small-gemm  the gated mix: tiled-frontend GEMMs in the bucket-batching
-//               sweet spot.  Serial baseline replays every job through
+//   small-gemm  the gated mix: small tiled-frontend GEMMs, the
+//               microkernel path.  Serial baseline replays every job through
 //               serve::run_serial (the plain pre-existing frontends, one
 //               job at a time); the served run streams the same trace
 //               through ServeEngine's sharded queues and batched launches.
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   std::cout << "=== serve_throughput: sharded batched serving vs serial replay "
             << "(shards = " << opt.shards << ", batch = " << opt.batch << ") ===\n\n";
 
-  // The gated mix: tiled-frontend small GEMMs (the bucket-batching target).
+  // The gated mix: tiled-frontend small GEMMs (the microkernel path).
   serve::TraceConfig small_gemm;
   small_gemm.seed = opt.seed;
   small_gemm.min_n = opt.min_n;

@@ -60,7 +60,6 @@
 
 #include "common/error.hpp"
 #include "common/half_convert.hpp"
-#include "gpusim/batch.hpp"
 #include "simrt/mdarray.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/simd.hpp"
@@ -426,8 +425,8 @@ void gemm_tiled(const Space& space, const VA& A, const VB& B, VC& C,
 }
 
 // ---------------------------------------------------------------------------
-// Scratch-based serial driver + batched entry point (the serving layer's
-// "one tiled-microkernel launch per size bucket").
+// Scratch-based serial GEMM (each served tiled GEMM job and each
+// multigpu::gemm_sharded row block runs one on its own pooled scratch).
 //
 // gemm_tiled above allocates its packing panels per call — fine for the
 // one-shot paper protocol, fatal for a request engine that must stream
@@ -485,40 +484,6 @@ void gemm_tiled_serial_scratch(const VA& A, const VB& B, VC& C, std::span<std::b
       td::macro_kernel(mk, Ap, Bp, ic, mc, kc, C);
     }
   }
-}
-
-/// One square n x n GEMM of a batch: dense row-major raw buffers,
-/// C += A * B accumulating in Acc.
-template <class T, class Acc>
-struct GemmBatchItem {
-  const T* a = nullptr;
-  const T* b = nullptr;
-  Acc* c = nullptr;
-  std::size_t n = 0;
-};
-
-/// Batched entry point: run every item as one engine launch (one item per
-/// block, packing scratch from the pooled per-worker arenas — zero
-/// steady-state allocation).  Under portacheck the batch executes as a
-/// seed-permuted serial schedule; either way each item's C is
-/// bit-identical to gemm_tiled(SerialSpace) on the same operands.
-template <class T, class Acc>
-void gemm_tiled_batched(gpusim::LaunchEngine& engine,
-                        std::span<const GemmBatchItem<T, Acc>> items) {
-  std::size_t total_threads = 0;
-  for (const auto& item : items) total_threads += item.n * item.n;
-  gpusim::run_batch(engine, items.size(), total_threads,
-                    [&engine, items](std::size_t worker, std::size_t idx) {
-                      const GemmBatchItem<T, Acc>& item = items[idx];
-                      if (item.n == 0) return;
-                      const std::size_t bytes =
-                          gemm_tiled_scratch_bytes<Acc>(item.n, item.n, item.n);
-                      auto scratch = gpusim::batch_scratch(engine, worker, bytes);
-                      const simrt::RawView2<const T> A(item.a, item.n, item.n);
-                      const simrt::RawView2<const T> B(item.b, item.n, item.n);
-                      simrt::RawView2<Acc> C(item.c, item.n, item.n);
-                      gemm_tiled_serial_scratch<Acc>(A, B, C, scratch);
-                    });
 }
 
 }  // namespace portabench::gemm

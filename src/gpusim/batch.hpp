@@ -1,15 +1,15 @@
 // Batched item execution over the launch engine.
 //
-// The serving layer and the kernel libraries' batched entry points all
-// share one execution shape: N independent items (one small GEMM, one
-// SpMV, one stencil sweep each), run as a single "launch" — forked
-// across the engine's worker team when the batch is big enough, serial
-// on the caller otherwise.  run_batch() is that shape, plus the piece
-// LaunchEngine::run_blocks deliberately does not own: the portacheck
-// path.  Under the sanitizer every batch must execute as a seed-permuted
-// *serial* schedule with one lane per item (items of a batch are
-// unordered, exactly like blocks of a grid), so a batch that is only
-// correct in submission order fails the sanitized tier.
+// The serving layer and the multigpu sharded GEMM and stencil share one
+// execution shape: N independent items (one served job, one row block
+// of a sharded GEMM or stencil sweep), run as a single "launch" —
+// forked across the engine's worker team when the batch is big enough,
+// serial on the caller otherwise.  run_batch() is that shape, plus the
+// piece LaunchEngine::run_blocks deliberately does not own: the
+// portacheck path.  Under the sanitizer every batch must execute as a
+// seed-permuted *serial* schedule with one lane per item (items of a
+// batch are unordered, exactly like blocks of a grid), so a batch that
+// is only correct in submission order fails the sanitized tier.
 //
 // The body receives (worker, item): `worker` indexes the engine's
 // per-worker arenas when the batch forked, or LaunchEngine::kSerialWorker

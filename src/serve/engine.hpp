@@ -2,10 +2,10 @@
 //
 // Millions of small mixed jobs (GEMM / SpMV / stencil, varied n,
 // precision, and frontend) stream through sharded bounded admission
-// queues; each shard batches its jobs, size-buckets them by
-// (kind, frontend, precision, size class), and runs every bucket as one
-// launch over the shared LaunchEngine — the tiled-microkernel batched
-// GEMM path for the small-GEMM buckets.  Batching is continuous: the
+// queues; each shard batches its jobs and runs each batch as one launch
+// over its device's LaunchEngine, a block per job: the job fills its
+// inputs, runs its frontend's serial kernel (the tiled microkernel for
+// tiled GEMMs) and checksums its output.  Batching is continuous: the
 // first job into an idle shard rings its doorbell, which schedules a
 // flush of whatever is queued by the time the flush runs, up to
 // batch_jobs at a time (eager streams, which exist only under
@@ -20,7 +20,7 @@
 //     AdmitError::kQueueFull (shed + counted), never blocks or aborts.
 //   - try_submit() is safe from any number of producer threads.
 //     drain() must not race with try_submit (quiesce producers first);
-//     completion callbacks fire on flush threads, batch-ordered.
+//     completion callbacks fire on flush threads, in id order per batch.
 #pragma once
 
 #include <array>
@@ -77,8 +77,8 @@ struct ServeConfig {
   std::size_t batch_jobs = kDefaultBatchJobs;
   std::uint32_t max_n = 256;          ///< admission bound on problem size
   /// Completion sink; called on the flushing thread, jobs of a batch
-  /// delivered in deterministic (bucket, id) order.  Must be thread-safe
-  /// across shards.  May be empty.
+  /// delivered in id order.  Must be thread-safe across shards.  May be
+  /// empty.
   std::function<void(const JobResult&)> on_complete;
   /// Test hook: jobs selected here are marked kFailed instead of run,
   /// and their batch throws batch_error into the stream error stash.
@@ -140,35 +140,30 @@ class ServeEngine {
   }
 
  private:
-  /// One admitted job staged for a flush: its descriptor plus the base
-  /// of its carved arena section.
+  /// One admitted job staged for a flush: its descriptor, the base of
+  /// its carved arena section, and the checksum its launch block stores.
   struct JobSlot {
     JobDesc desc;
     std::byte* base = nullptr;
     bool failed = false;
+    double checksum = 0.0;
   };
 
   struct alignas(kCacheLineBytes) Shard {
     Shard(const ServeConfig& cfg, gpusim::DeviceContext& ctx);
-    ~Shard();
 
     simrt::BoundedMpscQueue<JobDesc> queue;
     gpusim::DeviceContext* ctx;  ///< the device this shard runs on
     gpusim::Stream stream;       ///< kAsync: flushes run on the stream worker
     ShardMutex submit_mutex;  ///< guards stream.enqueue (not thread-safe)
-    ShardMutex flush_mutex;   ///< serializes flush bodies (arena + staging)
+    ShardMutex flush_mutex;   ///< serializes flush bodies (arena + slots)
     /// Set while a flush is scheduled and has not yet started popping
     /// (async streams only).
     std::atomic<bool> doorbell{false};
     std::atomic<std::uint64_t> submitted{0};  ///< accepts (eager trigger)
     WorkerArena arena;
-    // Flush staging, reserved once and reused (zero steady-state alloc).
+    /// The flush's jobs, reserved once and reused (zero steady-state alloc).
     std::vector<JobSlot> slots;
-    std::vector<std::size_t> exec_idx;
-    /// Typed batch-item vectors (one per kernel-library item type),
-    /// defined in engine.cpp to keep the kernel headers out of here.
-    struct Staging;
-    std::unique_ptr<Staging> staging;
   };
 
   struct FlushOutcome {
@@ -178,7 +173,6 @@ class ServeEngine {
 
   void schedule_flush(Shard& shard);
   FlushOutcome flush_shard(Shard& shard, std::size_t max_jobs);
-  void run_bucket(Shard& shard, std::size_t lo, std::size_t hi);
   void deliver(Shard& shard);
 
   ServeConfig config_;

@@ -3,9 +3,8 @@
 // A job is one small kernel request — a GEMM, an SpMV, or a stencil
 // sweep — at a given problem size, precision, and model frontend (the
 // paper's programming-model axis).  The serving layer admits jobs
-// through sharded bounded queues, buckets them by (kind, frontend,
-// precision, size class), and batches each bucket into one engine
-// launch; docs/SERVE.md has the architecture.
+// through sharded bounded queues and runs each flushed batch as one
+// engine launch, a block per job; docs/SERVE.md has the architecture.
 //
 // Admission is total: every malformed or unsupported request maps to a
 // typed AdmitError — the engine never aborts on input.
@@ -22,8 +21,8 @@ namespace portabench::serve {
 enum class JobKind : std::uint8_t { kGemm, kSpmv, kStencil };
 
 /// Programming-model frontend the job's kernel idiom comes from.
-/// kTiled is the optimized-C++ microkernel path (the batching target the
-/// small-GEMM buckets are built around).
+/// kTiled is the optimized-C++ path: the tiled-microkernel GEMM and the
+/// explicit-SIMD stencil sweep.
 enum class Frontend : std::uint8_t { kOpenMP, kKokkos, kJulia, kNumba, kTiled };
 
 /// One request.  `seed` fully determines the job's input data; `id` must
@@ -122,21 +121,6 @@ struct JobResult {
     case AdmitError::kShutdown: return "shutdown";
   }
   return "?";
-}
-
-/// Size class for bucketing: jobs whose n shares a power-of-two bracket
-/// batch into the same launch (items still carry their exact n).
-[[nodiscard]] constexpr std::uint32_t size_class(std::uint32_t n) noexcept {
-  std::uint32_t cls = 0;
-  while ((1u << (cls + 1)) <= n) ++cls;
-  return cls;
-}
-
-/// Bucket key: jobs with equal keys are batched into one launch.
-[[nodiscard]] constexpr std::uint32_t bucket_key(const JobDesc& d) noexcept {
-  return (static_cast<std::uint32_t>(d.kind) << 24) |
-         (static_cast<std::uint32_t>(d.frontend) << 16) |
-         (static_cast<std::uint32_t>(d.precision) << 8) | size_class(d.n);
 }
 
 }  // namespace portabench::serve

@@ -25,7 +25,7 @@ struct TraceConfig {
   std::uint32_t gemm_weight = 6;
   std::uint32_t spmv_weight = 3;
   std::uint32_t stencil_weight = 1;
-  bool tiled_only = false;  ///< GEMM jobs pin Frontend::kTiled (the bucket-batching target)
+  bool tiled_only = false;  ///< GEMM jobs pin Frontend::kTiled (the tiled-microkernel path)
 };
 
 class TraceGen {

@@ -14,7 +14,6 @@
 
 #include <span>
 
-#include "gpusim/batch.hpp"
 #include "gpusim/block_primitives.hpp"
 #include "gpusim/memory.hpp"
 #include "simrt/parallel.hpp"
@@ -129,44 +128,6 @@ void spmv_gpu_vector(gpusim::DeviceContext& ctx, const CsrMatrix<T>& A, const BX
           if (tc.thread_idx.x == 0) y[r] = total;
         });
       });
-}
-
-// ---------------------------------------------------------------------------
-// Batched entry point (serving layer).
-// ---------------------------------------------------------------------------
-
-/// One CSR SpMV of a batch over raw, caller-owned storage (arena slices:
-/// no container types so the path stays allocation-free).
-template <class T>
-struct SpmvBatchItem {
-  const std::size_t* row_ptr = nullptr;  ///< rows + 1 entries
-  const std::size_t* col_idx = nullptr;
-  const T* values = nullptr;
-  const T* x = nullptr;
-  T* y = nullptr;
-  std::size_t rows = 0;
-};
-
-/// Run every item as one engine launch (one item per block).  Each item's
-/// rows are walked in order with the exact accumulation of
-/// spmv_reference / spmv_csr_row_parallel, so y is bit-identical to the
-/// serial frontend result.  Under portacheck the batch executes as a
-/// seed-permuted serial schedule with one lane per item.
-template <class T>
-void spmv_csr_batched(gpusim::LaunchEngine& engine, std::span<const SpmvBatchItem<T>> items) {
-  std::size_t total_threads = 0;
-  for (const auto& item : items) total_threads += item.rows;
-  gpusim::run_batch(engine, items.size(), total_threads,
-                    [items](std::size_t, std::size_t idx) {
-                      const SpmvBatchItem<T>& item = items[idx];
-                      for (std::size_t r = 0; r < item.rows; ++r) {
-                        T sum{};
-                        for (std::size_t e = item.row_ptr[r]; e < item.row_ptr[r + 1]; ++e) {
-                          sum += item.values[e] * static_cast<T>(item.x[item.col_idx[e]]);
-                        }
-                        item.y[r] = sum;
-                      }
-                    });
 }
 
 }  // namespace portabench::spmv

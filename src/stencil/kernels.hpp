@@ -9,7 +9,6 @@
 // loads exercise the simulator's barrier semantics).
 #pragma once
 
-#include "gpusim/batch.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/memory.hpp"
 #include "grid.hpp"
@@ -184,39 +183,6 @@ void sweep_gpu_tiled(gpusim::DeviceContext& ctx, const PIn& in, POut&& out,
       }
     });
   });
-}
-
-// ---------------------------------------------------------------------------
-// Batched entry point (serving layer).
-// ---------------------------------------------------------------------------
-
-/// One 5-point sweep of a batch: dense row-major n x n raw buffers.
-struct StencilBatchItem {
-  const double* in = nullptr;
-  double* out = nullptr;
-  std::size_t n = 0;
-};
-
-/// Run every item as one engine launch (one item per block), each item a
-/// serial row walk through the tier-dispatched SIMD row kernel — which is
-/// pinned bit-identical to sweep_serial on every tier, so the batch
-/// result matches the serial frontend byte for byte.  Under portacheck
-/// the batch executes as a seed-permuted serial schedule.
-inline void sweep_batched(gpusim::LaunchEngine& engine,
-                          std::span<const StencilBatchItem> items) {
-  const stencil_detail::sweep_row_fn row = stencil_detail::pick_sweep_row();
-  std::size_t total_threads = 0;
-  for (const auto& item : items) total_threads += item.n * item.n;
-  gpusim::run_batch(engine, items.size(), total_threads,
-                    [items, row](std::size_t, std::size_t idx) {
-                      const StencilBatchItem& item = items[idx];
-                      const std::size_t n = item.n;
-                      if (n < 3) return;
-                      for (std::size_t i = 1; i + 1 < n; ++i) {
-                        row(item.in + (i - 1) * n, item.in + i * n, item.in + (i + 1) * n,
-                            item.out + i * n, n);
-                      }
-                    });
 }
 
 /// Run Jacobi to convergence: sweeps until the max-norm update falls

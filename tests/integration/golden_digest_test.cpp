@@ -2,12 +2,13 @@
 // results the determinism contract promises never change.
 //
 // Each case hashes one fixed workload: served checksums (run_serial over
-// a fixed trace), one sharded GEMM C, one sharded stencil grid, and the
-// device scan and radix sort outputs.  The oracle tests prove that a
-// result equals its serial replay; these prove that the replay itself
-// kept its bits across commits, build types and SIMD tiers.  CTest runs
-// the binary once per PORTABENCH_SIMD_TIER value (a tier the host lacks
-// falls back to its best one), so every tier must reproduce every digest.
+// a fixed trace, and the same trace through a ServeEngine), one sharded
+// GEMM C, one sharded stencil grid, and the device scan and radix sort
+// outputs.  The oracle tests prove that a result equals its serial
+// replay; these prove that the replay itself kept its bits across
+// commits, build types and SIMD tiers.  CTest runs the binary once per
+// PORTABENCH_SIMD_TIER value (a tier the host lacks falls back to its
+// best one), so every tier must reproduce every digest.
 //
 // A change that alters a digest changes results: it must say why in
 // CHANGES.md and update the constant here in the same commit.
@@ -26,6 +27,7 @@
 #include "multigpu/stencil.hpp"
 #include "primitives/scan.hpp"
 #include "primitives/sort.hpp"
+#include "serve/engine.hpp"
 #include "serve/serial.hpp"
 #include "serve/trace.hpp"
 #include "simrt/simd.hpp"
@@ -79,14 +81,38 @@ gpusim::TopologyConfig two_gcds() {
                        << ") at SIMD tier "                                            \
                        << simrt::simd_tier_name(simrt::simd_dispatch_tier())
 
-TEST(GoldenDigest, ServedChecksums) {
+serve::TraceConfig served_trace() {
   serve::TraceConfig tcfg;
   tcfg.seed = 1;
   tcfg.min_n = 8;
   tcfg.max_n = 96;
-  serve::TraceGen gen(tcfg);
+  return tcfg;
+}
+
+TEST(GoldenDigest, ServedChecksums) {
+  serve::TraceGen gen(served_trace());
   std::vector<double> checksums(1000);
   for (double& c : checksums) c = serve::run_serial(gen.next()).checksum;
+  EXPECT_DIGEST(digest(checksums), 0x62493902d78de94bull);
+}
+
+TEST(GoldenDigest, ServedThroughTheEngine) {
+  // The same 1,000 jobs through a default ServeEngine: the served path's
+  // kernels run at whatever SIMD tier this process dispatches.
+  serve::TraceGen gen(served_trace());
+  std::vector<double> checksums(1000);
+  serve::ServeConfig cfg;
+  // Each id is delivered once, by exactly one shard's flush thread.
+  cfg.on_complete = [&checksums](const serve::JobResult& r) { checksums[r.id] = r.checksum; };
+  serve::ServeEngine engine(cfg);
+  for (std::size_t i = 0; i < checksums.size(); ++i) {
+    const serve::JobDesc d = gen.next();
+    serve::AdmitError e = engine.try_submit(d);
+    while (e == serve::AdmitError::kQueueFull) e = engine.try_submit(d);
+    ASSERT_EQ(e, serve::AdmitError::kNone) << "job " << d.id;
+  }
+  engine.drain();
+  ASSERT_EQ(engine.stats().completed, checksums.size());
   EXPECT_DIGEST(digest(checksums), 0x62493902d78de94bull);
 }
 

@@ -283,8 +283,8 @@ TEST(ServeEngineTest, FailInjectionMarksJobsFailedAndSparesTheRest) {
 }
 
 TEST(ServeEngineTest, EqualDescsLandInOneBucketAndAgree) {
-  // Identical jobs (same kind/frontend/precision/size class/seed) must
-  // produce identical checksums regardless of which batch slot they fill.
+  // Identical jobs (same kind/frontend/precision/n/seed) must produce
+  // identical checksums regardless of which batch slot they fill.
   std::vector<JobDesc> trace;
   for (std::uint64_t id = 0; id < 24; ++id) {
     trace.push_back({id, JobKind::kGemm, Frontend::kTiled, Precision::kSingle, 12,
@@ -343,6 +343,28 @@ TEST(ServeEngineTest, MultiDeviceTopologyRoutesShardsAndStaysBitwise) {
   EXPECT_GT(engine.topology().context(1).counters().kernel_launches, 0u);
 }
 
+TEST(ServeEngineTest, OneLaunchPerFlush) {
+  // Every job of a flush fills, runs and checksums in the flush's one
+  // launch, whatever mix of kinds, frontends, precisions and sizes it holds.
+  TraceConfig tcfg;
+  tcfg.seed = 47;
+  tcfg.min_n = 4;
+  tcfg.max_n = 40;
+  const auto trace = make_trace(tcfg, 200);
+  ResultSink sink;
+  ServeConfig cfg;
+  cfg.shards = 1;
+  cfg.batch_jobs = 32;
+  cfg.on_complete = std::ref(sink);
+  ServeEngine engine(cfg);
+  submit_all(engine, trace);
+  engine.drain();
+  const ServeStats st = engine.stats();
+  EXPECT_GE(st.batches, 1u);
+  EXPECT_EQ(engine.context().counters().kernel_launches, st.batches);
+  expect_bitwise_identical(trace, sink.take());
+}
+
 // Continuous batching: on async streams the first job into an idle shard
 // schedules a flush, so no job waits for a batch to fill or for drain().
 // Eager streams (portacheck) flush only on every batch_jobs-th accept.
@@ -355,7 +377,7 @@ TEST(ServeEngineTest, LoneJobIsDeliveredWithoutDrain) {
   cfg.on_complete = std::ref(sink);
   ServeEngine engine(cfg);
   ASSERT_LT(1u, cfg.batch_jobs);
-  // n = 64: the one-job fill and bucket launches reach the fork cutoff.
+  // n = 64: the one-job launch reaches the fork cutoff.
   const JobDesc d{5, JobKind::kGemm, Frontend::kTiled, Precision::kDouble, 64, 0xA11CEull};
   ASSERT_EQ(engine.try_submit(d), AdmitError::kNone);
   ASSERT_TRUE(sink.wait_for(1)) << "a lone job waited for its batch to fill";

@@ -9,8 +9,8 @@
 //
 // A systematic 1-in-97 sample of the trace is bitwise-verified against
 // serve::run_serial; verifying all 100k serially would double the
-// runtime without adding coverage (every bucket shape recurs thousands
-// of times).
+// runtime without adding coverage (every (kind, frontend, precision)
+// shape recurs thousands of times).
 #include <gtest/gtest.h>
 
 #include <vector>
