@@ -1,21 +1,41 @@
-// Multi-device stencil: halo-exchanged slabs with cross-device events.
+// Multi-device stencil: deep-halo slabs, one launch and one halo
+// exchange per epoch of k sweeps.
 //
-// The grid's rows are cut into one contiguous slab per device; each slab
-// is stored with one halo row per interior neighbor.  Every Jacobi
-// iteration runs the 5-point sweep on the device's owned interior rows
-// (the exact per-row SIMD kernel of stencil::sweep_simd, bit-identical
-// to sweep_serial), then exchanges boundary rows with the neighbors by
-// peer_copy_async over the topology's D2D links.  Ordering is done
-// entirely with Events across devices:
+// The grid's rows are cut into one contiguous slab per device.  A device
+// computes when it owns an interior row, and two adjacent computing
+// devices exchange halos.  Sweeps run in epochs of k, where k is the
+// smallest number of rows any computing device owns, capped at the
+// iteration count.  k follows from the inputs, so it is not an option.
 //
-//   copy(d -> nbr) on d's transfer stream waits compute_done[d][t]
-//   compute[d][t+1] on d's compute stream waits every halo_in event of
-//   iteration t (recorded on the *neighbors'* transfer streams)
+// Each slab stores its owned rows plus k halo rows per exchanging
+// neighbor; toward a neighbor that does not compute it stores the one
+// adjacent row, a global boundary row.  In an epoch of s <= k sweeps a
+// device enqueues one compute op, counted as one launch.  Sweep j of the
+// epoch covers the owned interior rows plus s-1-j rows into each
+// exchanged halo, so the band loses one row per side per sweep: every
+// row that sweep j reads was written by sweep j-1 or, at j = 0, by the
+// last exchange.  Each point is still the per-row SIMD kernel of
+// stencil::sweep_simd on the same inputs, so results stay bit-identical
+// to stencil_iterated_oracle.
 //
-// so a device cannot start iteration t+1 until its halos hold the
-// neighbors' iteration-t rows, and a neighbor cannot ship a row before
-// it computed it.  This is the cross-device event-ordering surface the
-// multi-device tests pin.
+// Between epochs each device's transfer stream copies its k edge rows
+// into each exchanging neighbor's halo with one peer_copy_async; no
+// exchange follows the last epoch.  Events order the devices:
+//
+//   copy(d -> n) waits compute_done[d], so the rows it sends are final,
+//     and compute_done[n], since n's widened sweeps write its halo rows;
+//   compute[d] of the next epoch waits every copy into d's halos, and
+//     d's own outgoing copies, whose rows its second sweep overwrites.
+//
+// Choosing k.  An epoch of k sweeps adds k(k-1)/2 redundant row sweeps
+// per exchanged side and saves k-1 exchanges, each a launch, a chain of
+// event handoffs and a throttled peer copy.  On 32-row slabs of 64
+// columns a row sweep takes tens of nanoseconds and an exchange tens of
+// microseconds, and each step of k from 1 to 32 lowered the call's
+// latency.  A smaller k pays only once the (k-1)/2 rows a sweep adds per
+// side, on average, cost more than the per-sweep share of an exchange:
+// slabs of long rows on devices with cheap exchanges.  No caller has such
+// slabs, so k is not bounded below the slab height.
 //
 // Boundary semantics match the host oracle: both ping-pong buffers start
 // as copies of the initial grid, sweeps write interior points only, so
@@ -61,7 +81,7 @@ inline std::vector<double> stencil_iterated_oracle(std::span<const double> grid,
 
 /// `iterations` sweeps of the 5-point stencil over `grid` (rows x cols,
 /// row-major host storage, updated in place), slab-sharded across every
-/// device of `topo` with halo exchange between neighbors.  Returns
+/// device of `topo` with deep-halo exchange between neighbors.  Returns
 /// wall/modeled timings shaped like the pipeline drivers'.
 inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
                                              std::span<double> grid, std::size_t rows,
@@ -80,25 +100,74 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
   for (std::size_t d = 0; d < devices; ++d) {
     r0[d + 1] = r0[d] + rows / devices + (d < rows % devices ? 1 : 0);
   }
+  // The computing devices [first, last) are contiguous: a device before
+  // them can only hold row 0 alone, and one after them row rows-1 alone
+  // or no row.  At least one computes (rows >= 3), and each owns a row,
+  // so k, the epoch length and halo depth, is at least 1.
+  std::size_t first = devices, last = 0;
+  std::size_t k = opt.iterations;
+  for (std::size_t d = 0; d < devices; ++d) {
+    if (std::max<std::size_t>(r0[d], 1) < std::min(r0[d + 1], rows - 1)) {
+      first = std::min(first, d);
+      last = d + 1;
+      k = std::min(k, r0[d + 1] - r0[d]);
+    }
+  }
 
   struct Slab {
     std::size_t lo = 0, hi = 0;        // global rows stored: [lo, hi)
-    std::size_t gstart = 0, gend = 0;  // global interior rows computed
+    std::size_t gstart = 0, gend = 0;  // global interior rows owned
+    bool up = false, down = false;     // exchanges halos with device d-1 / d+1
+    std::size_t cols = 0;
     gpusim::DeviceBuffer<double> buf[2];
     std::unique_ptr<gpusim::Stream> comp, xfer;
+    gpusim::LaunchEngine* engine = nullptr;
+    gpusim::DeviceContext* ctx = nullptr;
+
+    /// Sweeps t0 .. t0+steps-1 as one launch: sweep j reads buf[(t0+j)%2]
+    /// and writes the other buffer over the owned interior rows widened
+    /// by steps-1-j rows into each exchanged halo.
+    void epoch(std::size_t t0, std::size_t steps,
+               stencil::stencil_detail::sweep_row_fn row_fn) {
+      const std::size_t sides = (up ? 1 : 0) + (down ? 1 : 0);
+      const std::size_t band_rows =
+          steps * (gend - gstart) + sides * steps * (steps - 1) / 2;
+      ctx->note_launch(gpusim::Dim3{band_rows, 1, 1}, gpusim::Dim3{cols, 1, 1});
+      for (std::size_t j = 0; j < steps; ++j) {
+        const std::size_t widen = steps - 1 - j;
+        const std::size_t top = gstart - (up ? widen : 0);
+        const std::size_t nrows = gend + (down ? widen : 0) - top;
+        const double* in = buf[(t0 + j) % 2].data() + (top - lo) * cols;
+        double* out = buf[(t0 + j + 1) % 2].data() + (top - lo) * cols;
+        const std::size_t width = cols;
+        gpusim::run_batch(*engine, nrows, nrows * width, [=](std::size_t, std::size_t i) {
+          const double* row = in + i * width;
+          row_fn(row - width, row, row + width, out + i * width, width);
+        });
+      }
+    }
   };
+  // Only computing devices get a slab's buffers and streams: a device
+  // that owns no interior row neither sweeps nor exchanges.
   std::vector<Slab> slab(devices);
-  for (std::size_t d = 0; d < devices; ++d) {
+  for (std::size_t d = first; d < last; ++d) {
     Slab& s = slab[d];
-    s.lo = r0[d] == 0 ? 0 : r0[d] - 1;            // halo row above
-    s.hi = r0[d + 1] == rows ? rows : r0[d + 1] + 1;  // halo row below
+    s.up = d > first;
+    s.down = d + 1 < last;
+    // k halo rows toward an exchanging neighbor; otherwise the one
+    // neighboring row, a global boundary row that never changes.
+    s.lo = s.up ? r0[d] - k : (r0[d] == 0 ? 0 : r0[d] - 1);
+    s.hi = s.down ? r0[d + 1] + k : (r0[d + 1] == rows ? rows : r0[d + 1] + 1);
     s.gstart = std::max<std::size_t>(r0[d], 1);
     s.gend = std::min(r0[d + 1], rows - 1);
+    s.cols = cols;
     gpusim::DeviceContext& ctx = topo.context(d);
     s.buf[0] = gpusim::DeviceBuffer<double>(ctx, (s.hi - s.lo) * cols);
     s.buf[1] = gpusim::DeviceBuffer<double>(ctx, (s.hi - s.lo) * cols);
     s.comp = std::make_unique<gpusim::Stream>(ctx, gpusim::StreamMode::kAsync);
     s.xfer = std::make_unique<gpusim::Stream>(ctx, gpusim::StreamMode::kAsync);
+    s.engine = &topo.engine(d);
+    s.ctx = &ctx;
   }
 
   const stencil::stencil_detail::sweep_row_fn row_fn =
@@ -108,101 +177,62 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
   // Upload: both ping-pong slabs start as the initial grid slice, so
   // boundary rows/columns and halos hold real values from iteration 0.
   std::vector<gpusim::Event> uploaded(devices);
-  for (std::size_t d = 0; d < devices; ++d) {
+  for (std::size_t d = first; d < last; ++d) {
     Slab& s = slab[d];
     const std::span<const double> src(grid.data() + s.lo * cols, (s.hi - s.lo) * cols);
     gpusim::copy_to_device_async(topo, d, *s.comp, s.buf[0], 0, src, topo.numa_domain_of(d));
     gpusim::copy_to_device_async(topo, d, *s.comp, s.buf[1], 0, src, topo.numa_domain_of(d));
     s.comp->record(uploaded[d]);
   }
-  // A device's first halo copy writes into the *neighbor's* slab; without
-  // this edge it can race ahead of the neighbor's own upload, which would
-  // then clobber the delivered halo with initial data.  (Iteration t >= 1
-  // copies are transitively ordered behind the uploads through the
-  // compute_done -> halo_in chain; only iteration 0 needs the edge.)
-  for (std::size_t d = 0; d < devices; ++d) {
-    if (d > 0) slab[d].xfer->wait(uploaded[d - 1]);
-    if (d + 1 < devices) slab[d].xfer->wait(uploaded[d + 1]);
-  }
 
-  // halo_in[d]: events guarding the halo rows device d received for the
-  // previous iteration (recorded on the neighbors' transfer streams).
-  std::vector<std::vector<gpusim::Event>> halo_in(devices);
+  // before_epoch[d]: the copies device d's next epoch waits for, into
+  // its halos (recorded on the neighbors' transfer streams) and out of
+  // its edge rows (on its own).
+  std::vector<std::vector<gpusim::Event>> before_epoch(devices);
   std::vector<gpusim::Event> compute_done(devices);
-
-  for (std::size_t t = 0; t < opt.iterations; ++t) {
-    const std::size_t cur = t % 2;
-    const std::size_t nxt = 1 - cur;
-    // Sweep every device's owned interior rows: in = buf[cur],
-    // out = buf[nxt].
-    for (std::size_t d = 0; d < devices; ++d) {
+  for (std::size_t t0 = 0; t0 < opt.iterations; t0 += k) {
+    const std::size_t steps = std::min(k, opt.iterations - t0);
+    for (std::size_t d = first; d < last; ++d) {
       Slab& s = slab[d];
-      for (gpusim::Event& ev : halo_in[d]) s.comp->wait(ev);
-      halo_in[d].clear();
-      const std::size_t nrows = s.gend > s.gstart ? s.gend - s.gstart : 0;
-      // Row pointers at the first computed row: the op captures seven
-      // 8-byte values, so it stays within ErasedOp's inline storage.
-      const double* in_rows = s.buf[cur].data() + (s.gstart - s.lo) * cols;
-      double* out_rows = s.buf[nxt].data() + (s.gstart - s.lo) * cols;
-      gpusim::LaunchEngine* engine = &topo.engine(d);
-      gpusim::DeviceContext* ctx = &topo.context(d);
-      s.comp->enqueue(0.0, [=] {
-        if (nrows == 0) return;
-        ctx->note_launch(gpusim::Dim3{nrows, 1, 1}, gpusim::Dim3{cols, 1, 1});
-        gpusim::run_batch(*engine, nrows, nrows * cols, [=](std::size_t, std::size_t i) {
-          const double* row = in_rows + i * cols;
-          row_fn(row - cols, row, row + cols, out_rows + i * cols, cols);
-        });
-      });
+      for (gpusim::Event& ev : before_epoch[d]) s.comp->wait(ev);
+      before_epoch[d].clear();
+      // Four 8-byte captures: the op stays within ErasedOp's inline storage.
+      s.comp->enqueue(0.0, [&s, t0, steps, row_fn] { s.epoch(t0, steps, row_fn); });
       s.comp->record(compute_done[d]);
     }
-    // Halo exchange on buf[nxt]: my edge rows become the neighbors' halo
-    // rows.  The copy waits for my sweep; the neighbor's next sweep
-    // waits for the copy (via halo_in).  Fixed device-major order.
-    // Only a neighbor that computes rows gets a halo: it never reads one
-    // otherwise, and its return copy is what orders my sweep two
-    // iterations on (which overwrites the row this copy reads) behind
-    // this copy.
-    const auto computes = [&](std::size_t d) { return slab[d].gend > slab[d].gstart; };
-    for (std::size_t d = 0; d < devices; ++d) {
-      Slab& s = slab[d];
-      if (d > 0 && computes(d) && computes(d - 1)) {
-        Slab& up = slab[d - 1];
-        s.xfer->wait(compute_done[d]);
-        // My first computed row gstart is row index (gstart - up.lo) in
-        // the upper neighbor's slab (its bottom halo when gstart == up.hi-1).
-        gpusim::peer_copy_async(topo, d, d - 1, *s.xfer, up.buf[nxt],
-                                (s.gstart - up.lo) * cols, s.buf[nxt],
-                                (s.gstart - s.lo) * cols, cols);
-        gpusim::Event ev;
-        s.xfer->record(ev);
-        halo_in[d - 1].push_back(ev);
-      }
-      if (d + 1 < devices && computes(d) && computes(d + 1)) {
-        Slab& dn = slab[d + 1];
-        s.xfer->wait(compute_done[d]);
-        gpusim::peer_copy_async(topo, d, d + 1, *s.xfer, dn.buf[nxt],
-                                (s.gend - 1 - dn.lo) * cols, s.buf[nxt],
-                                (s.gend - 1 - s.lo) * cols, cols);
-        gpusim::Event ev;
-        s.xfer->record(ev);
-        halo_in[d + 1].push_back(ev);
-      }
+    if (t0 + steps == opt.iterations) break;  // no exchange after the last epoch
+
+    // Halo exchange on the epoch's output buffer: the sender's k edge
+    // rows [row, row + k) become the receiver's halo rows.  Fixed
+    // device-major order.
+    const std::size_t cur = (t0 + steps) % 2;
+    const auto send = [&](std::size_t from, std::size_t to, std::size_t row) {
+      Slab& src = slab[from];
+      Slab& dst = slab[to];
+      src.xfer->wait(compute_done[from]);
+      src.xfer->wait(compute_done[to]);
+      gpusim::peer_copy_async(topo, from, to, *src.xfer, dst.buf[cur], (row - dst.lo) * cols,
+                              src.buf[cur], (row - src.lo) * cols, k * cols);
+      gpusim::Event copied;
+      src.xfer->record(copied);
+      before_epoch[to].push_back(copied);
+      before_epoch[from].push_back(copied);
+    };
+    for (std::size_t d = first; d < last; ++d) {
+      if (slab[d].up) send(d, d - 1, r0[d]);
+      if (slab[d].down) send(d, d + 1, r0[d + 1] - k);
     }
   }
 
   // Land each device's owned rows from the final buffer back into the
   // host grid, fixed device-major combination order.
   const std::size_t fin = opt.iterations % 2;
-  for (std::size_t d = 0; d < devices; ++d) {
+  for (std::size_t d = first; d < last; ++d) {
     Slab& s = slab[d];
-    if (s.gend <= s.gstart) continue;
-    for (gpusim::Event& ev : halo_in[d]) s.comp->wait(ev);  // final halos irrelevant, but drain order-safe
-    s.comp->wait(compute_done[d]);
-    // The neighbors' uploads read my edge rows as halos; when a neighbor
-    // computes nothing, no halo chain orders them before this copy.
-    if (d > 0) s.comp->wait(uploaded[d - 1]);
-    if (d + 1 < devices) s.comp->wait(uploaded[d + 1]);
+    // An exchanging neighbor's upload reads my edge rows from the host
+    // grid; after a single epoch no halo copy orders it before this copy.
+    if (s.up) s.comp->wait(uploaded[d - 1]);
+    if (s.down) s.comp->wait(uploaded[d + 1]);
     gpusim::copy_to_host_async(
         topo, d, *s.comp,
         std::span<double>(grid.data() + s.gstart * cols, (s.gend - s.gstart) * cols),
@@ -210,7 +240,7 @@ inline gpusim::PipelineStats stencil_sharded(gpusim::DeviceTopology& topo,
   }
 
   double modeled = 0.0;
-  for (std::size_t d = 0; d < devices; ++d) {
+  for (std::size_t d = first; d < last; ++d) {
     modeled = std::max(modeled, slab[d].comp->synchronize());
     modeled = std::max(modeled, slab[d].xfer->synchronize());
   }

@@ -164,22 +164,29 @@ TEST_F(GemmSharded, DegenerateTopologyUsesSharedEngine) {
 // --- Stencil -----------------------------------------------------------------
 
 TEST(StencilSharded, BitwiseIdenticalAcrossDeviceCountsAndIterations) {
-  const std::size_t rows = 83, cols = 41;  // slabs of ~20 rows at 4 devices
-  const std::vector<double> init = random_vector(rows * cols, 31);
-
+  // The epoch length k is the smallest slab height: heights 1-16, with
+  // slabs differing by a row when rows % devices != 0, and iteration
+  // counts k often does not divide, some shorter than one epoch.
+  const std::size_t cols = 41;
   for (std::size_t devices : {1u, 2u, 3u, 4u}) {
-    for (std::size_t iters : {1u, 2u, 5u}) {
-      const std::vector<double> expect =
-          stencil_iterated_oracle(init, rows, cols, iters);
-      DeviceTopology topo(small_crusher(devices));
-      std::vector<double> grid = init;
-      StencilShardOptions opt;
-      opt.iterations = iters;
-      const auto stats = stencil_sharded(topo, std::span<double>(grid), rows, cols, opt);
-      EXPECT_EQ(stats.panels, devices * iters);
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        ASSERT_EQ(grid[i], expect[i])
-            << "cell " << i << " devices " << devices << " iters " << iters;
+    DeviceTopology topo(small_crusher(devices));
+    for (std::size_t height : {1u, 2u, 3u, 7u, 16u}) {
+      for (std::size_t extra : {0u, 1u, 2u}) {
+        const std::size_t rows = devices * height + extra;
+        if (extra >= devices || rows < 3) continue;
+        const std::vector<double> init = random_vector(rows * cols, 31 + rows);
+        for (std::size_t iters : {1u, 2u, 3u, 6u, 7u, 15u, 16u, 17u, 33u, 50u}) {
+          const std::vector<double> expect = stencil_iterated_oracle(init, rows, cols, iters);
+          std::vector<double> grid = init;
+          StencilShardOptions opt;
+          opt.iterations = iters;
+          const auto stats = stencil_sharded(topo, std::span<double>(grid), rows, cols, opt);
+          EXPECT_EQ(stats.panels, devices * iters);
+          for (std::size_t i = 0; i < grid.size(); ++i) {
+            ASSERT_EQ(grid[i], expect[i]) << "cell " << i << " devices " << devices << " rows "
+                                          << rows << " iters " << iters;
+          }
+        }
       }
     }
   }
@@ -229,6 +236,32 @@ TEST(StencilSharded, SweepOpsStayInline) {
   stencil_sharded(topo, std::span<double>(grid), kN, kN, opt);
   const std::size_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_LT(allocations, 400u);
+  EXPECT_EQ(grid, stencil_iterated_oracle(init, kN, kN, opt.iterations));
+}
+
+TEST(StencilSharded, OneLaunchAndOneExchangePerEpoch) {
+  // Two 32-row slabs give k = 32: ceil(2000 / 32) = 63 epochs, each one
+  // launch per device, and 62 exchanges of 32 rows in each direction.
+  DeviceTopology topo(small_crusher(2));
+  constexpr std::size_t kN = 64;
+  const std::vector<double> init = random_vector(kN * kN, 52);
+  std::vector<double> grid = init;
+  StencilShardOptions opt;
+  opt.iterations = 2000;
+  const auto totals = [&] {
+    gpusim::DeviceCounters sum;
+    for (std::size_t d = 0; d < topo.devices(); ++d) {
+      const gpusim::DeviceCounters c = topo.context(d).counters();
+      sum.kernel_launches += c.kernel_launches;
+      sum.bytes_d2d_in += c.bytes_d2d_in;
+    }
+    return sum;
+  };
+  const gpusim::DeviceCounters before = totals();
+  stencil_sharded(topo, std::span<double>(grid), kN, kN, opt);
+  const gpusim::DeviceCounters after = totals();
+  EXPECT_EQ(after.kernel_launches - before.kernel_launches, 2u * 63u);
+  EXPECT_EQ(after.bytes_d2d_in - before.bytes_d2d_in, 62u * 2u * 32u * kN * sizeof(double));
   EXPECT_EQ(grid, stencil_iterated_oracle(init, kN, kN, opt.iterations));
 }
 
